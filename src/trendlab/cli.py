@@ -21,7 +21,7 @@ import numpy as np
 from . import stats as stats_mod
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
-from .market_data import CandleParseError, read_candle_file, synth_gbm, synth_trend_series, write_candle_file
+from .market_data import read_candle_file, synth_gbm, synth_trend_series, write_candle_file
 from .minmax import run_minmax
 from .stats import BivariateLogNormalParams, HistogramSpec
 from .trading import TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
@@ -75,13 +75,19 @@ class RunConfig:
             raise ValueError("at least one input file is required")
         if any(s <= 0 for s in self.scalings):
             raise ValueError("scalings must be positive")
+        if self.hist_range is not None:
+            lo, hi = self.hist_range
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"bad --range {lo!r}:{hi!r}: need finite lo < hi")
+        if self.bin_width is not None and not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
+            raise ValueError(f"bad --bin-width {self.bin_width!r}: need a finite width > 0")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ValueError(f"bad range {text!r}: expected lo:hi") from None
+        raise ValueError(f"bad --range {text!r}: expected lo:hi") from None
     return lo, hi
 
 
@@ -247,9 +253,9 @@ def cmd_stats(cfg: RunConfig) -> int:
                     }
                 )
                 spec = DEFAULT_HISTOGRAMS[variable]
-                if cfg.hist_range:
+                if cfg.hist_range is not None:
                     spec = HistogramSpec(cfg.hist_range[0], cfg.hist_range[1], spec.bin_width)
-                if cfg.bin_width:
+                if cfg.bin_width is not None:
                     spec = HistogramSpec(spec.lo, spec.hi, cfg.bin_width)
                 hist = stats_mod.histogram(values, spec)
                 for b in range(spec.n_bins):
@@ -481,10 +487,9 @@ def main(argv=None) -> int:
         if args.command == "stats":
             if args.variable:
                 cfg.variables = [_CLI_VARIABLES[v] for v in args.variable]
-            if args.hist_range:
+            if args.hist_range is not None:
                 cfg.hist_range = _parse_range(args.hist_range)
-            if args.bin_width:
-                cfg.bin_width = args.bin_width
+            cfg.bin_width = args.bin_width
             return cmd_stats(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.scalings)
@@ -497,10 +502,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg, args.kind, args.s0, args.drift, args.vol, args.bars, args.swings, args.symbol)
         parser.error(f"unknown command {args.command!r}")
-    except CandleParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # CandleParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -112,22 +112,53 @@ def macd(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> tuple[np
 
 
 def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarSeries:
-    """Two-valued MACD SAR: sign of (macd_line - signal_line) with tie carry."""
-    macd_line, signal_line = macd(series, cfg)
+    """Two-valued MACD SAR: sign of (macd_line - signal_line) with tie carry.
+
+    One fused pass over the closes. Every EMA step is the same IEEE operation
+    as in ``ema``/``macd`` (alpha*x, multiplied by numpy up front, plus
+    beta*acc), so the lines are bit-identical to theirs. The lines are
+    compared directly: with gradual underflow, line - signal is zero only
+    when line == signal. The pass records only the bars where the sign flips
+    and expands the runs afterwards. An empty series gives an empty SarSeries.
+    """
+    if cfg.signal < 1.0:  # the smallest of the three periods, as ``ema`` requires
+        raise ValueError("period must be >= 1")
     n = len(series)
+    if n == 0:
+        return SarSeries(np.zeros(0, dtype=np.int8), 0)
+    # cfg.warmup >= 1, so bar 0 (where both lines are 0.0) is always masked
     warmup = min(cfg.warmup, n)
-    values = np.zeros(n, dtype=np.int8)
-    diff = macd_line[warmup:] - signal_line[warmup:]
-    signs = np.sign(diff).astype(np.int8)
-    ties = np.flatnonzero(signs == 0)
-    if ties.size:
-        prev = SAR_DOWN
-        j = 0
-        for i in range(signs.size):
-            if j < ties.size and ties[j] == i:
-                signs[i] = prev
-                j += 1
-            else:
-                prev = signs[i]
-    values[warmup:] = signs
+    fast_alpha = 2.0 / (cfg.fast + 1.0)
+    slow_alpha = 2.0 / (cfg.slow + 1.0)
+    signal_alpha = 2.0 / (cfg.signal + 1.0)
+    fast_beta = 1.0 - fast_alpha
+    slow_beta = 1.0 - slow_alpha
+    signal_beta = 1.0 - signal_alpha
+    fast_x = (fast_alpha * series.close).tolist()
+    slow_x = (slow_alpha * series.close).tolist()
+    fast = slow = float(series.close[0])
+    signal = fast - slow
+    for i in range(1, warmup):
+        fast = fast_x[i] + fast_beta * fast
+        slow = slow_x[i] + slow_beta * slow
+        signal = signal_alpha * (fast - slow) + signal_beta * signal
+    # runs alternate down, up, down, ... starting at warmup; a tie extends the run
+    flips = [warmup]
+    rising = False
+    for i in range(warmup, n):
+        fast = fast_x[i] + fast_beta * fast
+        slow = slow_x[i] + slow_beta * slow
+        line = fast - slow
+        signal = signal_alpha * line + signal_beta * signal
+        if rising:
+            if line < signal:
+                rising = False
+                flips.append(i)
+        elif line > signal:
+            rising = True
+            flips.append(i)
+    flips.append(n)
+    runs = np.diff(flips)
+    signs = np.resize(np.array([SAR_DOWN, SAR_UP], dtype=np.int8), runs.size)
+    values = np.concatenate((np.zeros(warmup, dtype=np.int8), np.repeat(signs, runs)))
     return SarSeries(values, warmup)

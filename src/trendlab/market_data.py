@@ -11,8 +11,10 @@ threads or processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -20,6 +22,8 @@ import numpy as np
 Timestamp = Union[date, int]
 
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
+# rows per block of the column-wise parse: bounds its temporary field lists
+PARSE_BLOCK = 1024
 
 
 class CandleParseError(ValueError):
@@ -91,9 +95,10 @@ class CandleSeries:
                     f"invalid OHLC bar at index {i}: "
                     f"{_ohlc_problem(self.open[i], self.high[i], self.low[i], self.close[i])}"
                 )
-        for i in range(1, n):
-            if not self.timestamps[i] > self.timestamps[i - 1]:  # type: ignore[operator]
-                raise ValueError(f"non-increasing timestamp at index {i}")
+        ts = self.timestamps
+        if not all(map(operator.gt, ts[1:], ts)):
+            i = next(i for i in range(1, n) if not ts[i] > ts[i - 1])  # type: ignore[operator]
+            raise ValueError(f"non-increasing timestamp at index {i}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -153,21 +158,25 @@ def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
         lines = text.splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in text]
-    lines = [ln.strip() for ln in lines]
-    lines = [ln for ln in lines if ln]
+    lines = list(filter(None, map(str.strip, lines)))
     if not lines:
         raise CandleParseError("empty input: missing header line")
     header = [f.strip().lower() for f in lines[0].split(",")]
     if tuple(header[:5]) != HEADER_FIELDS or len(header) > 6 or (len(header) == 6 and header[5] != "volume"):
         raise CandleParseError(f"bad header {lines[0]!r}: expected 'date,open,high,low,close[,volume]'")
+    series = _parse_columns(lines[1:], len(header), symbol)
+    return series if series is not None else _parse_rows(lines[1:], symbol)
 
+
+def _parse_rows(rows: list[str], symbol: str) -> CandleSeries:
+    """Row-by-row parse that raises CandleParseError naming the first bad row."""
     timestamps: list[Timestamp] = []
     opens: list[float] = []
     highs: list[float] = []
     lows: list[float] = []
     closes: list[float] = []
     int_dates: bool | None = None
-    for row, line in enumerate(lines[1:], start=1):
+    for row, line in enumerate(rows, start=1):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (5, 6):
             raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
@@ -200,6 +209,44 @@ def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
         lows.append(l)
         closes.append(c)
     return CandleSeries(symbol, tuple(timestamps), np.array(opens), np.array(highs), np.array(lows), np.array(closes))
+
+
+def _parse_columns(rows: list[str], width: int, symbol: str) -> CandleSeries | None:
+    """Column-wise parse of well-formed rows, PARSE_BLOCK rows at a time.
+
+    Returns None when a row has a different field count than the header or
+    any field or bar is invalid; the row-by-row parser then names the row.
+    The date format is fixed by the first row, as in the row parser, and an
+    ISO date is taken only in the 10-character YYYY-MM-DD form, which int()
+    never accepts.
+    """
+    n = len(rows)
+    if n == 0 or set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    try:
+        int(rows[0].split(",", 1)[0])
+        int_dates = True
+    except ValueError:
+        int_dates = False
+    timestamps: list[Timestamp] = []
+    ohlc = [np.empty(n) for _ in range(4)]
+    try:
+        for start in range(0, n, PARSE_BLOCK):
+            block = rows[start:start + PARSE_BLOCK]
+            stop = start + len(block)
+            fields = ",".join(block).split(",")
+            raw_ts = list(map(str.strip, fields[0::width]))
+            if int_dates:
+                timestamps.extend(map(int, raw_ts))
+            elif all(len(t) == 10 and t[4] == t[7] == "-" for t in raw_ts):
+                timestamps.extend(map(date.fromisoformat, raw_ts))
+            else:
+                return None
+            for j, column in enumerate(ohlc, start=1):
+                column[start:stop] = list(map(float, fields[j::width]))
+        return CandleSeries(symbol, tuple(timestamps), *ohlc)
+    except ValueError:
+        return None
 
 
 def format_candles(series: CandleSeries) -> str:

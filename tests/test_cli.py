@@ -164,6 +164,64 @@ class TestStats:
             assert -1.0 <= joint["rho"] <= 1.0
 
 
+class TestHistogramOptions:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--range", "5:1"),
+            ("--range", "0:inf"),
+            ("--range", "nan:1"),
+            ("--range", "1"),
+            ("--bin-width", "-1"),
+            ("--bin-width", "0"),
+            ("--bin-width", "inf"),
+        ],
+    )
+    def test_rejected_before_any_input_is_read(self, tmp_path, capsys, option, value):
+        missing = tmp_path / "missing.csv"
+        rc = main(["stats", "--input", str(missing), option, value, "--output", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+        assert not (tmp_path / "o").exists()
+
+    def test_explicit_options_recorded_in_config(self, market_dir, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["stats", "--input", str(market_dir), "--range", "0:2", "--bin-width", "0.5", "--output", str(out)])
+        assert rc == 0
+        config = read_json(out / "fits.json")["config"]
+        assert config["hist_range"] == [0.0, 2.0] and config["bin_width"] == 0.5
+
+
+class TestEmptyAndShortFiles:
+    """A header-only file behaves like a file shorter than the warm-up."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["detect"],
+            ["stats"],
+            ["sweep", "--scalings", "1:2:1"],
+            ["backtest", "--entry", "0.5", "--target", "1.0"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_same_outcome(self, tmp_path, command):
+        header = "date,open,high,low,close\n"
+        reports = {}
+        for name, body in (("empty", ""), ("short", "0,1,1,1,1\n1,2,2,2,2\n")):
+            root = tmp_path / name
+            root.mkdir()
+            (root / "market.csv").write_text(header + body)
+            out = root / "out"
+            assert main([*command, "--input", str(root / "market.csv"), "--output", str(out)]) == 0
+            reports[name] = {p.name: p.read_text().replace(str(root), "ROOT") for p in sorted(out.iterdir())}
+        assert reports["empty"] == reports["short"]
+        if command[0] == "detect":
+            sections = json.loads(reports["empty"]["detect.json"])["sections"]
+            assert sections and all(s["extrema"] == [] for s in sections)
+
+
 class TestSweep:
     def test_fixture_sweep_two_cells(self, market_dir, tmp_path):
         out = tmp_path / "sweep"

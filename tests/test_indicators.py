@@ -114,3 +114,68 @@ class TestMacdSar:
         defined = sar.values[sar.warmup:]
         assert np.all((defined == 1) | (defined == -1))
         assert np.all(sar.values[: sar.warmup] == 0)
+
+
+def reference_sar_values(series, cfg):
+    """The three-pass form: macd(), np.sign of the difference, tie carry."""
+    line, signal = macd(series, cfg)
+    n = len(series)
+    warmup = min(cfg.warmup, n)
+    signs = np.sign(line[warmup:] - signal[warmup:]).astype(np.int8)
+    prev = -1
+    for i in range(signs.size):
+        if signs[i] == 0:
+            signs[i] = prev
+        else:
+            prev = signs[i]
+    values = np.zeros(n, dtype=np.int8)
+    values[warmup:] = signs
+    return values
+
+
+@st.composite
+def closes_and_scaling(draw):
+    scaling = draw(st.one_of(st.sampled_from([1.0, 1.2, 0.37, 1.15, 2.3]), st.floats(min_value=0.12, max_value=3.0)))
+    warmup = ScalingConfig(scaling).warmup
+    n = draw(st.one_of(
+        st.integers(min_value=1, max_value=warmup - 1) if warmup > 1 else st.just(1),
+        st.sampled_from([warmup, warmup + 1, warmup + 2]),
+        st.integers(min_value=warmup + 3, max_value=warmup + 200),
+    ))
+    # few distinct prices give flat stretches, where both lines tie exactly
+    price = st.one_of(st.sampled_from([1.0, 2.0, 2.5, 100.0]), st.floats(min_value=1e-3, max_value=1e6))
+    closes = draw(st.lists(price, min_size=n, max_size=n))
+    return closes, scaling
+
+
+class TestFusedMacdSar:
+    @given(closes_and_scaling())
+    def test_bit_identical_to_three_pass_form(self, case):
+        closes, scaling = case
+        series = CandleSeries.from_closes("c", closes)
+        cfg = ScalingConfig(scaling)
+        sar = macd_sar(series, cfg)
+        assert sar.warmup == min(cfg.warmup, len(closes))
+        assert sar.values.dtype == np.int8
+        assert sar.values.tobytes() == reference_sar_values(series, cfg).tobytes()
+
+    @pytest.mark.parametrize("scaling", [0.5, 1.0, 1.7, 4.3])
+    def test_bit_identical_on_gbm(self, scaling):
+        series = synth_gbm(100.0, 0.0, 0.02, 3000, seed=11)
+        cfg = ScalingConfig(scaling)
+        assert macd_sar(series, cfg).values.tobytes() == reference_sar_values(series, cfg).tobytes()
+
+    def test_flat_then_step_carries_ties(self):
+        closes = [5.0] * 40 + [6.0] * 40 + [6.0] * 40
+        series = CandleSeries.from_closes("step", closes)
+        values = macd_sar(series).values
+        assert values.tobytes() == reference_sar_values(series, ScalingConfig()).tobytes()
+        assert set(values[26:40].tolist()) == {-1} and values[40] == 1
+
+    def test_empty_series_is_fully_masked(self):
+        sar = macd_sar(CandleSeries.from_closes("empty", []))
+        assert len(sar) == 0 and sar.warmup == 0
+
+    def test_sub_unit_signal_period_rejected(self):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            macd_sar(CandleSeries.from_closes("c", [1.0, 2.0]), ScalingConfig(0.1))

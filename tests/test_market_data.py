@@ -1,3 +1,5 @@
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from trendlab import (
     synth_gbm,
     synth_trend_series,
 )
+from trendlab.market_data import PARSE_BLOCK, _parse_columns, _parse_rows
 
 HEADER = "date,open,high,low,close"
 
@@ -103,6 +106,74 @@ class TestRoundTrip:
         assert np.all(series.low > 0)
         assert np.all((series.low <= series.open) & (series.open <= series.high))
         assert np.all((series.low <= series.close) & (series.close <= series.high))
+
+
+def _gbm_lines(n, dates=False):
+    series = synth_gbm(100.0, 0.0, 0.02, n, seed=5)
+    lines = format_candles(series).splitlines()
+    if dates:
+        start = date(1990, 1, 1)
+        lines[1:] = [f"{(start + timedelta(days=i)).isoformat()},{ln.split(',', 1)[1]}" for i, ln in enumerate(lines[1:])]
+    return lines
+
+
+def _assert_same_series(a, b):
+    assert a.timestamps == b.timestamps
+    assert [type(t) for t in a.timestamps] == [type(t) for t in b.timestamps]
+    for name in ("open", "high", "low", "close"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+class TestColumnParse:
+    N = 2 * PARSE_BLOCK + 300
+
+    @pytest.mark.parametrize("dates", [False, True], ids=["int-dates", "iso-dates"])
+    @pytest.mark.parametrize("variant", ["plain", "volume", "crlf", "padded"])
+    def test_matches_row_parse(self, dates, variant):
+        lines = _gbm_lines(self.N, dates)
+        if variant == "volume":
+            lines = [lines[0] + ",volume"] + [f"{ln},{i * 10}" for i, ln in enumerate(lines[1:])]
+        elif variant == "padded":
+            lines = [lines[0]] + [" , ".join(ln.split(",")) + " " for ln in lines[1:]]
+        eol = "\r\n" if variant == "crlf" else "\n"
+        text = eol.join(lines) + eol
+        rows = [ln.strip() for ln in text.splitlines()][1:]
+        width = len(lines[0].split(","))
+        fast = _parse_columns(rows, width, "gbm")
+        assert fast is not None
+        _assert_same_series(fast, _parse_rows(rows, "gbm"))
+        _assert_same_series(parse_candles(text, "gbm"), fast)
+        assert len(fast) == self.N
+
+    def test_ragged_rows_fall_back(self):
+        lines = _gbm_lines(50)
+        lines = [lines[0] + ",volume"] + [ln + ",7" if i % 2 else ln for i, ln in enumerate(lines[1:])]
+        rows = lines[1:]
+        assert _parse_columns(rows, 6, "gbm") is None
+        assert len(parse_candles("\n".join(lines), "gbm")) == 50
+
+    def test_compact_iso_date_is_mixed_format(self):
+        text = f"{HEADER}\n2020-01-02,10,12,9,11\n20200103,11,13,10,12\n"
+        with pytest.raises(CandleParseError, match="mixed date formats at row 2"):
+            parse_candles(text, "demo")
+
+    @pytest.mark.parametrize(
+        "row, edit, message",
+        [
+            (1500, lambda ln: ln.split(",", 1)[0] + ",abc,1,1,1", "non-numeric price at row 1500"),
+            (2000, lambda ln: "5," + ln.split(",", 1)[1], "non-increasing timestamp at row 2000"),
+            (1100, lambda ln: "2020-01-01," + ln.split(",", 1)[1], "mixed date formats at row 1100"),
+            (1700, lambda ln: ",".join(ln.split(",")[:3] + ["1e9", ln.split(",")[4]]), "low at row 1700"),
+        ],
+        ids=["bad-price", "non-increasing", "date-switch", "ohlc"],
+    )
+    def test_error_after_first_block_names_row(self, row, edit, message):
+        assert row > PARSE_BLOCK
+        lines = _gbm_lines(self.N)
+        lines[row] = edit(lines[row])
+        with pytest.raises(CandleParseError, match=message) as info:
+            parse_candles("\n".join(lines), "gbm")
+        assert info.value.row == row
 
 
 class TestContainers:
