@@ -13,7 +13,9 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,8 @@ from .trading import TradeSpec, backtest_anticyclic, expected_return, simulate_e
 DEFAULT_SCALINGS = (1.0, 1.2, 1.5, 2.0, 3.0)
 DEFAULT_SWEEP = "0.5:5:0.1"
 DEFAULT_MC_SAMPLES = 1_000_000
+# histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
+MAX_HIST_BINS = 1_000_000
 
 DEFAULT_HISTOGRAMS = {
     trend_mod.RETRACEMENT: HistogramSpec(0.0, 5.0, 0.11),
@@ -73,14 +77,25 @@ class RunConfig:
     def validate(self):
         if self.command in ("detect", "stats", "sweep", "backtest") and not self.inputs:
             raise ValueError("at least one input file is required")
-        if any(s <= 0 for s in self.scalings):
-            raise ValueError("scalings must be positive")
+        option = "--scalings" if self.command == "sweep" else "--scaling"
+        for s in self.scalings:
+            # the signal period 9 s is the shortest of the three MACD periods
+            if not (math.isfinite(s) and s > 0.0 and ScalingConfig(s).signal >= 1.0):
+                raise ValueError(f"bad {option} value {s!r}: need a finite scaling >= 1/9 (signal period >= 1)")
         if self.hist_range is not None:
             lo, hi = self.hist_range
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bad --range {lo!r}:{hi!r}: need finite lo < hi")
         if self.bin_width is not None and not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
             raise ValueError(f"bad --bin-width {self.bin_width!r}: need a finite width > 0")
+        for variable in self.variables:
+            spec = _hist_spec(self, variable)
+            # HistogramSpec.n_bins <= MAX_HIST_BINS, without its int() of an infinite quotient
+            if not (spec.hi - spec.lo) / spec.bin_width - 1e-9 <= MAX_HIST_BINS:
+                raise ValueError(
+                    f"bad --range/--bin-width: {spec.lo!r}:{spec.hi!r} in bins of {spec.bin_width!r} "
+                    f"gives {variable} more than {MAX_HIST_BINS} histogram bins"
+                )
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -96,9 +111,9 @@ def parse_scaling_range(text: str) -> list[float]:
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ValueError(f"bad scaling range {text!r}: expected lo:hi:step") from None
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad scaling range {text!r}")
+        raise ValueError(f"bad --scalings range {text!r}: expected lo:hi:step") from None
+    if not (step > 0 and lo <= hi and math.isfinite(hi - lo)):
+        raise ValueError(f"bad --scalings range {text!r}: need finite lo <= hi and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [round(lo + k * step, 10) for k in range(count)]
 
@@ -141,7 +156,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("# config: " + json.dumps(_config_json(cfg), sort_keys=True) + "\n")
@@ -202,15 +217,35 @@ def _collect_samples(cfg: RunConfig, files: list[Path]):
     return batches
 
 
-def _sample_rows(cfg: RunConfig, batches) -> list[list]:
-    rows = []
-    directions = set(_directions(cfg))
-    for scaling, batch in batches:
-        for s in batch:
-            if s.direction in directions and s.variable in cfg.variables:
-                # pair id is unique per leg event within (symbol, scaling)
-                rows.append([s.symbol, scaling, s.direction, s.variable, repr(s.value), f"{s.symbol}:{scaling}:{s.event}"])
-    return rows
+def _sample_rows(cfg: RunConfig, batches):
+    """samples.csv rows of the selected directions and variables, batch by batch."""
+    direction_codes = [trend_mod.DIRECTIONS.index(d) for d in _directions(cfg)]
+    variable_codes = [code for code, v in enumerate(trend_mod.VARIABLES) if v in cfg.variables]
+
+    def rows(scaling, batch):
+        keep = np.isin(batch.direction, direction_codes) & np.isin(batch.variable, variable_codes)
+        # pair id is unique per leg event within (symbol, scaling)
+        pair_prefix = f"{batch.symbol}:{scaling}:"
+        return zip(
+            repeat(batch.symbol),
+            repeat(str(scaling)),
+            map(trend_mod.DIRECTIONS.__getitem__, batch.direction[keep].tolist()),
+            map(trend_mod.VARIABLES.__getitem__, batch.variable[keep].tolist()),
+            batch.value[keep].tolist(),  # csv.writer writes a float as its repr
+            map(pair_prefix.__add__, map(str, batch.event[keep].tolist())),
+        )
+
+    return chain.from_iterable(rows(scaling, batch) for scaling, batch in batches)
+
+
+def _hist_spec(cfg: RunConfig, variable: str) -> HistogramSpec:
+    """The variable's default histogram spec with --range and --bin-width applied."""
+    spec = DEFAULT_HISTOGRAMS[variable]
+    if cfg.hist_range is not None:
+        spec = HistogramSpec(cfg.hist_range[0], cfg.hist_range[1], spec.bin_width)
+    if cfg.bin_width is not None:
+        spec = HistogramSpec(spec.lo, spec.hi, cfg.bin_width)
+    return spec
 
 
 def _directions(cfg: RunConfig) -> list[str]:
@@ -252,25 +287,12 @@ def cmd_stats(cfg: RunConfig) -> int:
                         "flags": list(report.flags),
                     }
                 )
-                spec = DEFAULT_HISTOGRAMS[variable]
-                if cfg.hist_range is not None:
-                    spec = HistogramSpec(cfg.hist_range[0], cfg.hist_range[1], spec.bin_width)
-                if cfg.bin_width is not None:
-                    spec = HistogramSpec(spec.lo, spec.hi, cfg.bin_width)
-                hist = stats_mod.histogram(values, spec)
-                for b in range(spec.n_bins):
-                    hist_rows.append(
-                        [
-                            market,
-                            variable,
-                            direction,
-                            scaling,
-                            repr(float(hist.spec.edges[b])),
-                            repr(float(hist.spec.edges[b + 1])),
-                            int(hist.counts[b]),
-                            repr(float(hist.densities[b])),
-                        ]
-                    )
+                hist = stats_mod.histogram(values, _hist_spec(cfg, variable))
+                edges = hist.spec.edges.tolist()
+                hist_rows.extend(
+                    [market, variable, direction, scaling, repr(lo), repr(hi), count, repr(density)]
+                    for lo, hi, count, density in zip(edges, edges[1:], hist.counts.tolist(), hist.densities.tolist())
+                )
             for var_a, var_b in LINKED_PAIRS:
                 if var_a not in cfg.variables or var_b not in cfg.variables:
                     continue

@@ -44,6 +44,12 @@ DELAY_C = "delay_c"
 PERIOD_GAP = "period_gap"
 
 VARIABLES = (RETRACEMENT, DURATION, REL_MOVEMENT, REL_CORRECTION, DELAY_X, DELAY_M, DELAY_C)
+DIRECTIONS = (UP, DOWN)
+
+_VARIABLE_CODE = {v: code for code, v in enumerate(VARIABLES)}
+_DIRECTION_CODE = {d: code for code, d in enumerate(DIRECTIONS)}
+# the codes extract_samples emits, in VARIABLES order
+_RETRACEMENT, _DURATION, _REL_MOVEMENT, _REL_CORRECTION, _DELAY_X, _DELAY_M, _DELAY_C = range(len(VARIABLES))
 
 
 @dataclass(frozen=True)
@@ -67,40 +73,66 @@ class TrendSample:
     event: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch(Sequence):
-    """Extracted samples plus tallies for skipped degenerate legs and zero delays."""
+    """Extracted samples as columns, one row per sample in emission order.
 
-    samples: tuple[TrendSample, ...]
+    ``variable`` and ``direction`` hold int8 codes into VARIABLES and
+    DIRECTIONS; ``event`` numbers the leg a sample came from and, within one
+    variable, is unique and increasing. Indexing and iteration build
+    TrendSample rows on demand. ``degenerate`` and ``zero_delay`` tally the
+    skipped degenerate legs and zero delays.
+    """
+
+    event: np.ndarray
+    variable: np.ndarray
+    direction: np.ndarray
+    value: np.ndarray
+    symbol: str = ""
+    scaling: float = float("nan")
     degenerate: int = 0
     zero_delay: int = 0
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.value)
 
     def __getitem__(self, item):
-        return self.samples[item]
+        if isinstance(item, slice):
+            return tuple(self)[item]
+        i = range(len(self))[item]
+        return TrendSample(
+            VARIABLES[self.variable[i]],
+            float(self.value[i]),
+            DIRECTIONS[self.direction[i]],
+            self.scaling,
+            self.symbol,
+            int(self.event[i]),
+        )
+
+    def __iter__(self):
+        symbol, scaling = self.symbol, self.scaling
+        columns = (self.variable.tolist(), self.value.tolist(), self.direction.tolist(), self.event.tolist())
+        for variable, value, direction, event in zip(*columns):
+            yield TrendSample(VARIABLES[variable], value, DIRECTIONS[direction], scaling, symbol, event)
+
+    def _select(self, variable: str, direction: str | None) -> np.ndarray:
+        mask = self.variable == _VARIABLE_CODE.get(variable, -1)
+        if direction is not None:
+            mask &= self.direction == _DIRECTION_CODE.get(direction, -1)
+        return mask
 
     def values(self, variable: str, direction: str | None = None) -> np.ndarray:
-        sel = [
-            s.value
-            for s in self.samples
-            if s.variable == variable and (direction is None or s.direction == direction)
-        ]
-        return np.array(sel, dtype=float)
+        return self.value[self._select(variable, direction)]
 
     def linked_pairs(self, var_a: str, var_b: str, direction: str | None = None) -> list[tuple[float, float]]:
-        """Value pairs of two variables sharing a leg event, for joint fits."""
-        a = {
-            s.event: s.value
-            for s in self.samples
-            if s.variable == var_a and (direction is None or s.direction == direction)
-        }
-        out = []
-        for s in self.samples:
-            if s.variable == var_b and s.event in a and (direction is None or s.direction == direction):
-                out.append((a[s.event], s.value))
-        return out
+        """Value pairs of two variables sharing a leg event, for joint fits, in var_b order."""
+        mask_a = self._select(var_a, direction)
+        mask_b = self._select(var_b, direction)
+        event_a, event_b = self.event[mask_a], self.event[mask_b]
+        at = np.searchsorted(event_a, event_b)
+        found = at < len(event_a)
+        found[found] = event_a[at[found]] == event_b[found]
+        return list(zip(self.value[mask_a][at[found]].tolist(), self.value[mask_b][found].tolist()))
 
 
 def _establish(points, k: int) -> str | None:
@@ -181,16 +213,23 @@ def extract_samples(
 ) -> SampleBatch:
     """Emit per-leg trend variables for every completed leg inside a phase."""
     pts = mm.points
-    symbol = series.symbol
-    samples: list[TrendSample] = []
+    events: list[int] = []
+    variables: list[int] = []
+    directions: list[int] = []
+    values: list[float] = []
     degenerate = 0
     zero_delay = 0
     event = 0
+    direction = 0
 
-    def emit(variable: str, value: float, direction: str):
-        samples.append(TrendSample(variable, value, direction, scaling, symbol, event))
+    def emit(variable: int, value: float):
+        events.append(event)
+        variables.append(variable)
+        directions.append(direction)
+        values.append(value)
 
     for ph in phases:
+        direction = _DIRECTION_CODE[ph.direction]
         last_leg_end = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
         for j in range(ph.start_point_index, last_leg_end):
             a, b = pts[j], pts[j + 1]
@@ -202,30 +241,39 @@ def extract_samples(
                 continue
             is_movement = (a.kind == LOW) == (ph.direction == UP)
             if is_movement:
-                emit(REL_MOVEMENT, size / a.price, ph.direction)
+                emit(_REL_MOVEMENT, size / a.price)
                 if b.d_abs > 0.0:
-                    emit(DELAY_M, b.d_abs / a.price, ph.direction)
+                    emit(_DELAY_M, b.d_abs / a.price)
                 else:
                     zero_delay += 1
             else:
-                emit(REL_CORRECTION, size / a.price, ph.direction)
-                emit(DURATION, float(b.bar - a.bar), ph.direction)
+                emit(_REL_CORRECTION, size / a.price)
+                emit(_DURATION, float(b.bar - a.bar))
                 if b.d_abs > 0.0:
-                    emit(DELAY_C, b.d_abs / a.price, ph.direction)
+                    emit(_DELAY_C, b.d_abs / a.price)
                 else:
                     zero_delay += 1
                 if j - 1 >= 0:
                     o = pts[j - 1]
                     movement = a.price - o.price if a.kind == HIGH else o.price - a.price
                     if movement > 0.0:
-                        emit(RETRACEMENT, size / movement, ph.direction)
+                        emit(_RETRACEMENT, size / movement)
                         if b.d_abs > 0.0:
-                            emit(DELAY_X, b.d_abs / movement, ph.direction)
+                            emit(_DELAY_X, b.d_abs / movement)
                     else:
                         degenerate += 1
                 else:
                     degenerate += 1
-    return SampleBatch(tuple(samples), degenerate=degenerate, zero_delay=zero_delay)
+    return SampleBatch(
+        event=np.array(events, dtype=np.int64),
+        variable=np.array(variables, dtype=np.int8),
+        direction=np.array(directions, dtype=np.int8),
+        value=np.array(values, dtype=float),
+        symbol=series.symbol,
+        scaling=scaling,
+        degenerate=degenerate,
+        zero_delay=zero_delay,
+    )
 
 
 def period_gaps(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> list[int]:

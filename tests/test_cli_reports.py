@@ -1,0 +1,71 @@
+"""Pinned stats report bytes and the up-front option checks of RunConfig.validate."""
+import hashlib
+
+import pytest
+
+from trendlab import synth_gbm, write_candle_file
+from trendlab.cli import MAX_HIST_BINS, RunConfig, main
+from trendlab.trend import RETRACEMENT
+
+# sha256 of the stats reports for the market built in test_stats_reports_pinned,
+# computed with the row-per-sample SampleBatch that preceded the columnar one
+STATS_DIGESTS = {
+    "fits.json": "fffaa76ffcdf03df906029eebf0fc5d09c949d0b16ac3ddb4940c9127a54743d",
+    "histograms.csv": "3fddeef4ee215268dc31698b757c33d434f7eabfbbc9f9966cacee0cf042f13e",
+    "samples.csv": "b41f2b1ad0d8e7d06ced8fe32ed21aa1ffa659ef18c273920505cfdf54f81706",
+}
+
+
+def test_stats_reports_pinned(tmp_path, monkeypatch):
+    # relative paths: the reports embed the run configuration, inputs included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    for seed in (3, 4):
+        series = synth_gbm(100.0, 0.0002, 0.02, 1500, seed=seed, symbol=f"g{seed}")
+        write_candle_file(series, tmp_path / "market" / f"g{seed}.csv")
+    assert main(["stats", "--input", "market", "--scaling", "1", "--scaling", "1.5", "--output", "out"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in STATS_DIGESTS}
+    assert digests == STATS_DIGESTS
+
+
+# (arguments, texts the error line must contain)
+REJECTED = [
+    (["detect", "--scaling", "0.1"], ["--scaling", "0.1"]),
+    (["detect", "--scaling", "nan"], ["--scaling", "nan"]),
+    (["stats", "--scaling", "1", "--scaling", "0.05"], ["--scaling", "0.05"]),
+    (["backtest", "--scaling", "-1", "--entry", "0.5", "--target", "1"], ["--scaling", "-1.0"]),
+    (["sweep", "--scalings", "0.05:0.2:0.05"], ["--scalings", "0.05"]),
+    (["sweep", "--scalings", "nan:1:0.1"], ["--scalings", "nan:1:0.1"]),
+    (["sweep", "--scalings", "1:inf:1"], ["--scalings", "1:inf:1"]),
+    (["stats", "--range", "0:1e9", "--bin-width", "1e-9"], ["--range", "--bin-width", "1e-09"]),
+    (["stats", "--range", "0:1e9"], ["--range", "1000000000.0"]),
+    (["stats", "--bin-width", "5e-324"], ["--bin-width", "5e-324"]),
+    (["stats", "--range=-1e308:1e308", "--bin-width", "1"], ["--range", "1e+308"]),
+]
+
+
+@pytest.mark.parametrize("argv, named", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_rejected_before_any_input_is_read(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    rc = main([*argv, "--input", str(tmp_path / "missing.csv"), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for text in named:
+        assert text in err
+    assert not out.exists()
+
+
+def test_smallest_scaling_accepted():
+    # 9 * (1/9) == 1.0: the signal period is exactly 1
+    RunConfig("detect", inputs=["x"], scalings=[1 / 9]).validate()
+    with pytest.raises(ValueError, match="--scaling"):
+        RunConfig("detect", inputs=["x"], scalings=[0.111]).validate()
+
+
+def test_bin_count_limit_is_inclusive():
+    at_limit = RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, float(MAX_HIST_BINS)), bin_width=1.0)
+    at_limit.validate()
+    above = RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, MAX_HIST_BINS + 1.0), bin_width=1.0)
+    with pytest.raises(ValueError, match="--range/--bin-width"):
+        above.validate()
