@@ -24,7 +24,7 @@ from . import stats as stats_mod
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
 from .market_data import read_candle_file, synth_gbm, synth_trend_series, write_candle_file
-from .minmax import run_minmax
+from .minmax import HIGH, LOW, run_minmax
 from .stats import BivariateLogNormalParams, HistogramSpec
 from .trading import TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
 
@@ -89,11 +89,11 @@ class RunConfig:
         if self.bin_width is not None and not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
             raise ValueError(f"bad --bin-width {self.bin_width!r}: need a finite width > 0")
         for variable in self.variables:
-            spec = _hist_spec(self, variable)
-            # HistogramSpec.n_bins <= MAX_HIST_BINS, without its int() of an infinite quotient
-            if not (spec.hi - spec.lo) / spec.bin_width - 1e-9 <= MAX_HIST_BINS:
+            lo, hi, width = _hist_bounds(self, variable)
+            # HistogramSpec.n_bins <= MAX_HIST_BINS, checked on the bounds so that the error names the options
+            if not (hi - lo) / width - 1e-9 <= MAX_HIST_BINS:
                 raise ValueError(
-                    f"bad --range/--bin-width: {spec.lo!r}:{spec.hi!r} in bins of {spec.bin_width!r} "
+                    f"bad --range/--bin-width: {lo!r}:{hi!r} in bins of {width!r} "
                     f"gives {variable} more than {MAX_HIST_BINS} histogram bins"
                 )
 
@@ -181,20 +181,17 @@ def cmd_detect(cfg: RunConfig) -> int:
         series = read_candle_file(path)
         for scaling in cfg.scalings:
             mm, phases = _detect_one(series, scaling)
+            extrema = [
+                {"kind": HIGH if high else LOW, "price": price, "bar": bar, "detection_bar": detected, "d_abs": d_abs}
+                for high, price, bar, detected, d_abs in zip(
+                    mm.high.tolist(), mm.price.tolist(), mm.bar.tolist(), mm.detection_bar.tolist(), mm.d_abs.tolist()
+                )
+            ]
             sections.append(
                 {
                     "symbol": series.symbol,
                     "scaling": scaling,
-                    "extrema": [
-                        {
-                            "kind": p.kind,
-                            "price": p.price,
-                            "bar": p.bar,
-                            "detection_bar": p.detection_bar,
-                            "d_abs": p.d_abs,
-                        }
-                        for p in mm.points
-                    ],
+                    "extrema": extrema,
                     "phases": [asdict(ph) for ph in phases],
                     "open_candidate": asdict(mm.open_candidate) if mm.open_candidate else None,
                 }
@@ -238,14 +235,12 @@ def _sample_rows(cfg: RunConfig, batches):
     return chain.from_iterable(rows(scaling, batch) for scaling, batch in batches)
 
 
-def _hist_spec(cfg: RunConfig, variable: str) -> HistogramSpec:
-    """The variable's default histogram spec with --range and --bin-width applied."""
+def _hist_bounds(cfg: RunConfig, variable: str) -> tuple[float, float, float]:
+    """The variable's default histogram lo, hi and bin width with --range and --bin-width applied."""
     spec = DEFAULT_HISTOGRAMS[variable]
-    if cfg.hist_range is not None:
-        spec = HistogramSpec(cfg.hist_range[0], cfg.hist_range[1], spec.bin_width)
-    if cfg.bin_width is not None:
-        spec = HistogramSpec(spec.lo, spec.hi, cfg.bin_width)
-    return spec
+    lo, hi = cfg.hist_range if cfg.hist_range is not None else (spec.lo, spec.hi)
+    width = cfg.bin_width if cfg.bin_width is not None else spec.bin_width
+    return lo, hi, width
 
 
 def _directions(cfg: RunConfig) -> list[str]:
@@ -287,7 +282,7 @@ def cmd_stats(cfg: RunConfig) -> int:
                         "flags": list(report.flags),
                     }
                 )
-                hist = stats_mod.histogram(values, _hist_spec(cfg, variable))
+                hist = stats_mod.histogram(values, HistogramSpec(*_hist_bounds(cfg, variable)))
                 edges = hist.spec.edges.tolist()
                 hist_rows.extend(
                     [market, variable, direction, scaling, repr(lo), repr(hi), count, repr(density)]

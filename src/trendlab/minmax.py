@@ -16,7 +16,10 @@ within it, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .indicators import SAR_DOWN, SAR_UP, SarSeries
 from .market_data import CandleSeries
@@ -52,30 +55,99 @@ class OpenCandidate:
     bar: int
 
 
-@dataclass(frozen=True)
+# (column, dtype) in the order MinMaxProcess takes them
+COLUMNS = (
+    ("high", bool),
+    ("price", np.float64),
+    ("bar", np.int64),
+    ("detection_bar", np.int64),
+    ("detection_close", np.float64),
+    ("d_abs", np.float64),
+)
+
+# the invariant messages, in the order they are checked at one index
+_INVARIANTS = (
+    "points must alternate kinds (index {})",
+    "point bars must strictly increase (index {})",
+    "detection bars must be non-decreasing (index {})",
+    "detection_bar must be >= bar (index {})",
+    "d_abs must equal |price - detection_close| (index {})",
+)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MinMaxProcess:
-    points: tuple[ExtremumPoint, ...]
+    """Fixed swing points as read-only columns, one row per point.
+
+    ``high`` is True for a fixed high and False for a fixed low. Build it from
+    the column keywords or from ExtremumPoint rows with ``points=`` (which then
+    replace the columns); either way the columns are validated once, and a
+    violation names the first offending index. ``points`` builds the rows on
+    first use.
+    """
+
+    high: np.ndarray
+    price: np.ndarray
+    bar: np.ndarray
+    detection_bar: np.ndarray
+    detection_close: np.ndarray
+    d_abs: np.ndarray
     open_candidate: Optional[OpenCandidate]
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        for i, p in enumerate(pts):
-            if i == 0:
-                continue
-            q = pts[i - 1]
-            if p.kind == q.kind:
-                raise ValueError(f"points must alternate kinds (index {i})")
-            if p.bar <= q.bar:
-                raise ValueError(f"point bars must strictly increase (index {i})")
-            if p.detection_bar < q.detection_bar:
-                raise ValueError(f"detection bars must be non-decreasing (index {i})")
-        if pts and self.open_candidate is not None:
-            if self.open_candidate.kind == pts[-1].kind:
-                raise ValueError("open candidate must alternate with the last fixed point")
+    def __init__(
+        self,
+        points: Optional[Iterable[ExtremumPoint]] = None,
+        open_candidate: Optional[OpenCandidate] = None,
+        *,
+        high=(),
+        price=(),
+        bar=(),
+        detection_bar=(),
+        detection_close=(),
+        d_abs=(),
+    ):
+        if points is not None:
+            points = tuple(points)
+            self.__dict__["points"] = points  # the rows already exist
+            rows = [(p.kind == HIGH, p.price, p.bar, p.detection_bar, p.detection_close, p.d_abs) for p in points]
+            high, price, bar, detection_bar, detection_close, d_abs = zip(*rows) if rows else ((),) * len(COLUMNS)
+        values = (high, price, bar, detection_bar, detection_close, d_abs)
+        for (name, dtype), value in zip(COLUMNS, values):
+            column = np.array(value, dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "open_candidate", open_candidate)
+        shapes = {getattr(self, name).shape for name, _ in COLUMNS}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("columns must be one-dimensional and of equal length")
+        self._validate()
+
+    def _validate(self) -> None:
+        n = len(self)
+        if n == 0:
+            return
+        bad = np.zeros((len(_INVARIANTS), n), dtype=bool)
+        bad[0, 1:] = self.high[1:] == self.high[:-1]
+        bad[1, 1:] = self.bar[1:] <= self.bar[:-1]
+        bad[2, 1:] = self.detection_bar[1:] < self.detection_bar[:-1]
+        bad[3] = self.detection_bar < self.bar
+        bad[4] = self.d_abs != np.abs(self.price - self.detection_close)
+        at = np.flatnonzero(bad.any(axis=0))
+        if at.size:
+            i = int(at[0])
+            raise ValueError(_INVARIANTS[int(np.argmax(bad[:, i]))].format(i))
+        last_kind = HIGH if self.high[-1] else LOW
+        if self.open_candidate is not None and self.open_candidate.kind == last_kind:
+            raise ValueError("open candidate must alternate with the last fixed point")
+
+    @cached_property
+    def points(self) -> tuple[ExtremumPoint, ...]:
+        kinds = [HIGH if h else LOW for h in self.high.tolist()]
+        columns = [getattr(self, name).tolist() for name, _ in COLUMNS[1:]]
+        return tuple(map(ExtremumPoint, kinds, *columns))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.price)
 
 
 def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
@@ -91,15 +163,18 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
         raise ValueError(f"SAR length {len(sar)} does not match series length {n}")
     w = sar.warmup
     if w >= n:
-        return MinMaxProcess(points=(), open_candidate=None)
+        return MinMaxProcess()
 
     highs = series.high.tolist()
     lows = series.low.tolist()
-    closes = series.close.tolist()
     sar_values = sar.values.tolist()
 
-    points: list[ExtremumPoint] = []
+    # per fixed point: extreme price, extreme bar, detection bar
+    prices: list[float] = []
+    bars: list[int] = []
+    detection_bars: list[int] = []
     searching_high = sar_values[w] == SAR_UP
+    first_high = searching_high
 
     # seed the first candidate over [0 .. w]
     cand_bar = 0
@@ -138,17 +213,9 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
             else:
                 fix = hi > last_fixed_price
         if fix:
-            close_i = closes[i]
-            points.append(
-                ExtremumPoint(
-                    kind=HIGH if searching_high else LOW,
-                    price=cand_price,
-                    bar=cand_bar,
-                    detection_bar=i,
-                    detection_close=close_i,
-                    d_abs=abs(cand_price - close_i),
-                )
-            )
+            prices.append(cand_price)
+            bars.append(cand_bar)
+            detection_bars.append(i)
             last_fixed_price = cand_price
             searching_high = not searching_high
             # rescan (fixed bar, i] for the opposite candidate
@@ -166,7 +233,19 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
     open_candidate = None
     if cand_bar >= 0:
         open_candidate = OpenCandidate(HIGH if searching_high else LOW, cand_price, cand_bar)
-    return MinMaxProcess(points=tuple(points), open_candidate=open_candidate)
+    price = np.array(prices, dtype=np.float64)
+    detection_bar = np.array(detection_bars, dtype=np.int64)
+    detection_close = series.close[detection_bar]
+    return MinMaxProcess(
+        open_candidate=open_candidate,
+        # kinds alternate from the first search direction
+        high=(np.arange(len(prices)) % 2 == 0) == first_high,
+        price=price,
+        bar=bars,
+        detection_bar=detection_bar,
+        detection_close=detection_close,
+        d_abs=np.abs(price - detection_close),
+    )
 
 
 def relative_delay(point: ExtremumPoint, denom: float) -> float:

@@ -257,6 +257,13 @@ class HistogramSpec:
     def __post_init__(self):
         if not (self.bin_width > 0.0 and self.lo < self.hi):
             raise ValueError("need lo < hi and bin_width > 0")
+        # a finite range and width can still overflow the bin count
+        quotient = (self.hi - self.lo) / self.bin_width
+        if not all(map(math.isfinite, (self.lo, self.hi, self.bin_width, quotient))):
+            raise ValueError(
+                f"histogram lo={self.lo!r}, hi={self.hi!r}, bin_width={self.bin_width!r}: "
+                "need finite values and a finite bin count"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -274,6 +281,10 @@ class Histogram:
     densities: np.ndarray
     n_total: int
     out_of_range: int
+
+    def __post_init__(self):
+        self.counts.flags.writeable = False
+        self.densities.flags.writeable = False
 
 
 def histogram(samples, spec: HistogramSpec) -> Histogram:

@@ -23,7 +23,7 @@ import numpy as np
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
 from .market_data import CandleSeries
-from .minmax import HIGH, run_minmax
+from .minmax import run_minmax
 from .stats import (
     BivariateLogNormalParams,
     _MIN_SURVIVAL,
@@ -146,7 +146,12 @@ def backtest_anticyclic(
     sar = macd_sar(series, ScalingConfig(scaling))
     mm = run_minmax(series, sar)
     phases = trend_mod.detect_trends(mm)
-    pts = mm.points
+    high = mm.high.tolist()
+    price = mm.price.tolist()
+    bar = mm.bar.tolist()
+    detection_bar = mm.detection_bar.tolist()
+    detection_close = mm.detection_close.tolist()
+    d_abs = mm.d_abs.tolist()
     lows = series.low
     highs = series.high
 
@@ -159,51 +164,50 @@ def backtest_anticyclic(
         up = ph.direction == trend_mod.UP
         last_leg_end = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
         for j in range(ph.start_point_index, last_leg_end):
-            a, b = pts[j], pts[j + 1]
-            is_correction = (a.kind == HIGH) == up
+            # correction leg from point a = j to point b = j + 1, after movement o = j - 1 -> a
+            is_correction = high[j] == up
             if not is_correction or j - 1 < 0:
                 continue
-            o = pts[j - 1]
-            movement = a.price - o.price if up else o.price - a.price
-            corr = a.price - b.price if up else b.price - a.price
+            o_price, a_price, b_price = price[j - 1], price[j], price[j + 1]
+            movement = a_price - o_price if up else o_price - a_price
+            corr = a_price - b_price if up else b_price - a_price
             if movement <= 0.0 or corr <= 0.0:
                 degenerate += 1
                 continue
             x = corr / movement
             if up:
-                entry_price = a.price - spec.entry * movement
-                target_price = a.price - spec.target * movement
+                entry_price = a_price - spec.entry * movement
+                target_price = a_price - spec.target * movement
             else:
-                entry_price = a.price + spec.entry * movement
-                target_price = a.price + spec.target * movement
-            entry_bar = _first_touch(lows if up else highs, a.bar + 1, b.bar, entry_price, up)
+                entry_price = a_price + spec.entry * movement
+                target_price = a_price + spec.target * movement
+            entry_bar = _first_touch(lows if up else highs, bar[j] + 1, bar[j + 1], entry_price, up)
             if entry_bar is None:
                 continue
-            target_bar = _first_touch(lows if up else highs, entry_bar, b.bar, target_price, up)
-            d = b.d_abs / movement
+            target_bar = _first_touch(lows if up else highs, entry_bar, bar[j + 1], target_price, up)
+            d = d_abs[j + 1] / movement
             if target_bar is not None:
                 trades.append(
                     TradeOutcome(spec.target - spec.entry, True, x, d, ph.direction, entry_bar, target_bar)
                 )
             else:
-                exit_close = b.detection_close
+                exit_close = detection_close[j + 1]
                 ret = (entry_price - exit_close) / movement if up else (exit_close - entry_price) / movement
-                trades.append(TradeOutcome(ret, False, x, d, ph.direction, entry_bar, b.detection_bar))
+                trades.append(TradeOutcome(ret, False, x, d, ph.direction, entry_bar, detection_bar[j + 1]))
 
     # an entry hit inside the still-open final correction has no resolvable exit
     if mm.open_candidate is not None and phases:
         ph = phases[-1]
-        if ph.violation_point_index is None and ph.end_point_index == len(pts) - 1:
+        k = ph.end_point_index
+        if ph.violation_point_index is None and k == len(price) - 1:
             include = ph.direction == trend_mod.UP or include_down
             up = ph.direction == trend_mod.UP
-            a = pts[ph.end_point_index]
-            is_correction = (a.kind == HIGH) == up
-            if include and is_correction and ph.end_point_index >= 1:
-                o = pts[ph.end_point_index - 1]
-                movement = a.price - o.price if up else o.price - a.price
+            is_correction = high[k] == up
+            if include and is_correction and k >= 1:
+                movement = price[k] - price[k - 1] if up else price[k - 1] - price[k]
                 if movement > 0.0:
-                    entry_price = a.price - spec.entry * movement if up else a.price + spec.entry * movement
-                    hit = _first_touch(lows if up else highs, a.bar + 1, len(series) - 1, entry_price, up)
+                    entry_price = price[k] - spec.entry * movement if up else price[k] + spec.entry * movement
+                    hit = _first_touch(lows if up else highs, bar[k] + 1, len(series) - 1, entry_price, up)
                     if hit is not None:
                         truncated += 1
     return BacktestResult(tuple(trades), degenerate=degenerate, truncated=truncated)
@@ -211,8 +215,7 @@ def backtest_anticyclic(
 
 def _first_touch(prices, start: int, stop: int, level: float, downward: bool) -> Optional[int]:
     """First bar in [start, stop] whose extreme reaches the level, else None."""
-    for i in range(start, stop + 1):
-        p = prices[i]
+    for i, p in enumerate(prices[start : stop + 1].tolist(), start):
         if (p <= level) if downward else (p >= level):
-            return int(i)
+            return i
     return None

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .market_data import CandleSeries
-from .minmax import HIGH, LOW, MinMaxProcess
+from .minmax import MinMaxProcess
 
 UP = "up"
 DOWN = "down"
@@ -79,7 +79,7 @@ class SampleBatch(Sequence):
 
     ``variable`` and ``direction`` hold int8 codes into VARIABLES and
     DIRECTIONS; ``event`` numbers the leg a sample came from and, within one
-    variable, is unique and increasing. Indexing and iteration build
+    variable, is unique and increasing. The columns are made read-only. Indexing and iteration build
     TrendSample rows on demand. ``degenerate`` and ``zero_delay`` tally the
     skipped degenerate legs and zero delays.
     """
@@ -92,6 +92,10 @@ class SampleBatch(Sequence):
     scaling: float = float("nan")
     degenerate: int = 0
     zero_delay: int = 0
+
+    def __post_init__(self):
+        for column in (self.event, self.variable, self.direction, self.value):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.value)
@@ -135,25 +139,6 @@ class SampleBatch(Sequence):
         return list(zip(self.value[mask_a][at[found]].tolist(), self.value[mask_b][found].tolist()))
 
 
-def _establish(points, k: int) -> str | None:
-    """Trend direction established by points[k-3..k], or None."""
-    older_a, older_b = points[k - 3], points[k - 2]
-    newer_a, newer_b = points[k - 1], points[k]
-    # by alternation (k-3, k-1) and (k-2, k) are the same-kind pairs
-    if newer_a.price > older_a.price and newer_b.price > older_b.price:
-        return UP
-    if newer_a.price < older_a.price and newer_b.price < older_b.price:
-        return DOWN
-    return None
-
-
-def _continues(direction: str, new_price: float, prev_price: float) -> bool:
-    # strict comparison: an equal extremum gives no fresh trend indication
-    if direction == UP:
-        return new_price > prev_price
-    return new_price < prev_price
-
-
 def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
     """Scan fixed points into non-overlapping trend phases.
 
@@ -161,14 +146,14 @@ def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
     still-open trend at the end of the process yields a phase without a
     violation point.
     """
-    pts = mm.points
+    price = mm.price.tolist()
+    detection_bar = mm.detection_bar.tolist()
     phases: list[TrendPhase] = []
     direction: str | None = None
     start = established = end = -1
 
     def close(violation: int | None):
         nonlocal direction
-        end_detection = pts[violation].detection_bar if violation is not None else pts[end].detection_bar
         phases.append(
             TrendPhase(
                 direction=direction,  # type: ignore[arg-type]
@@ -176,30 +161,35 @@ def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
                 end_point_index=end,
                 established_point_index=established,
                 violation_point_index=violation,
-                start_detection_bar=pts[established].detection_bar,
-                end_detection_bar=end_detection,
+                start_detection_bar=detection_bar[established],
+                end_detection_bar=detection_bar[end if violation is None else violation],
             )
         )
         direction = None
 
-    for k in range(len(pts)):
+    for k in range(len(price)):
         if direction is not None:
-            if _continues(direction, pts[k].price, pts[k - 2].price):
+            # strict comparison: an equal extremum gives no fresh trend indication
+            if (price[k] > price[k - 2]) if direction == UP else (price[k] < price[k - 2]):
                 end = k
                 continue
             close(violation=k)
             # the violator cannot itself establish a trend: one of its
             # monotonicity legs just failed strictly in both readings
             continue
-        if k >= 3:
-            found = _establish(pts, k)
-            if found is not None:
-                direction = found
-                start = k - 3
-                if phases and phases[-1].end_point_index >= start:
-                    start = phases[-1].end_point_index + 1
-                established = k
-                end = k
+        if k < 3:
+            continue
+        # by alternation (k-3, k-1) and (k-2, k) are the same-kind pairs
+        if price[k - 1] > price[k - 3] and price[k] > price[k - 2]:
+            direction = UP
+        elif price[k - 1] < price[k - 3] and price[k] < price[k - 2]:
+            direction = DOWN
+        else:
+            continue
+        start = k - 3
+        if phases and phases[-1].end_point_index >= start:
+            start = phases[-1].end_point_index + 1
+        established = end = k
     if direction is not None:
         close(violation=None)
     return phases
@@ -212,7 +202,10 @@ def extract_samples(
     scaling: float = float("nan"),
 ) -> SampleBatch:
     """Emit per-leg trend variables for every completed leg inside a phase."""
-    pts = mm.points
+    high = mm.high.tolist()
+    price = mm.price.tolist()
+    bar = mm.bar.tolist()
+    d_abs = mm.d_abs.tolist()
     events: list[int] = []
     variables: list[int] = []
     directions: list[int] = []
@@ -231,35 +224,34 @@ def extract_samples(
     for ph in phases:
         direction = _DIRECTION_CODE[ph.direction]
         last_leg_end = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
+        up = ph.direction == UP
         for j in range(ph.start_point_index, last_leg_end):
-            a, b = pts[j], pts[j + 1]
+            # leg from point a = j to point b = j + 1
+            a_price, b_price, b_delay = price[j], price[j + 1], d_abs[j + 1]
             event += 1
-            rising = b.kind == HIGH
-            size = b.price - a.price if rising else a.price - b.price
+            size = b_price - a_price if high[j + 1] else a_price - b_price
             if size <= 0.0:
                 degenerate += 1
                 continue
-            is_movement = (a.kind == LOW) == (ph.direction == UP)
-            if is_movement:
-                emit(_REL_MOVEMENT, size / a.price)
-                if b.d_abs > 0.0:
-                    emit(_DELAY_M, b.d_abs / a.price)
+            if high[j] != up:  # a movement starts at a low in an up-trend
+                emit(_REL_MOVEMENT, size / a_price)
+                if b_delay > 0.0:
+                    emit(_DELAY_M, b_delay / a_price)
                 else:
                     zero_delay += 1
             else:
-                emit(_REL_CORRECTION, size / a.price)
-                emit(_DURATION, float(b.bar - a.bar))
-                if b.d_abs > 0.0:
-                    emit(_DELAY_C, b.d_abs / a.price)
+                emit(_REL_CORRECTION, size / a_price)
+                emit(_DURATION, float(bar[j + 1] - bar[j]))
+                if b_delay > 0.0:
+                    emit(_DELAY_C, b_delay / a_price)
                 else:
                     zero_delay += 1
                 if j - 1 >= 0:
-                    o = pts[j - 1]
-                    movement = a.price - o.price if a.kind == HIGH else o.price - a.price
+                    movement = a_price - price[j - 1] if high[j] else price[j - 1] - a_price
                     if movement > 0.0:
                         emit(_RETRACEMENT, size / movement)
-                        if b.d_abs > 0.0:
-                            emit(_DELAY_X, b.d_abs / movement)
+                        if b_delay > 0.0:
+                            emit(_DELAY_X, b_delay / movement)
                     else:
                         degenerate += 1
                 else:
@@ -278,11 +270,11 @@ def extract_samples(
 
 def period_gaps(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> list[int]:
     """Bar gaps between consecutive same-kind points lying inside a phase."""
-    pts = mm.points
+    bar = mm.bar.tolist()
     gaps = []
     for ph in phases:
         for i in range(ph.start_point_index, ph.end_point_index - 1):
-            gaps.append(pts[i + 2].bar - pts[i].bar)
+            gaps.append(bar[i + 2] - bar[i])
     return gaps
 
 

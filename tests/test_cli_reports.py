@@ -1,9 +1,9 @@
-"""Pinned stats report bytes and the up-front option checks of RunConfig.validate."""
+"""Pinned report bytes and the up-front option checks of RunConfig.validate."""
 import hashlib
 
 import pytest
 
-from trendlab import synth_gbm, write_candle_file
+from trendlab import ExtremumPoint, synth_gbm, synth_trend_series, write_candle_file
 from trendlab.cli import MAX_HIST_BINS, RunConfig, main
 from trendlab.trend import RETRACEMENT
 
@@ -26,6 +26,52 @@ def test_stats_reports_pinned(tmp_path, monkeypatch):
     assert main(["stats", "--input", "market", "--scaling", "1", "--scaling", "1.5", "--output", "out"]) == 0
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in STATS_DIGESTS}
     assert digests == STATS_DIGESTS
+
+
+# sha256 of detect.json and backtest.json for the market built in
+# test_detect_and_backtest_reports_pinned, computed with the row-per-point
+# MinMaxProcess that preceded the columnar one
+DETECT_BACKTEST_DIGESTS = {
+    "detect/detect.json": "cb7144cb9dbb1157f0c0b86ee79a065da4c2399fd35fe5e52a2999ddabb91580",
+    "backtest/backtest.json": "508c35f6472f58d6c3ec30cec1e0d73da791e6370b33f2d5b109a75d5b1a510a",
+}
+
+
+def test_detect_and_backtest_reports_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    write_candle_file(synth_gbm(100.0, 0.0002, 0.02, 2000, seed=5, symbol="g5"), tmp_path / "market" / "g5.csv")
+    planted, _ = synth_trend_series(swings=60, seed=7, symbol="planted")
+    write_candle_file(planted, tmp_path / "market" / "planted.csv")
+    scalings = ["--scaling", "1", "--scaling", "1.5"]
+    assert main(["detect", "--input", "market", *scalings, "--output", "detect"]) == 0
+    trade = ["--direction", "both", "--entry", "0.382", "--target", "1.0"]
+    assert main(["backtest", "--input", "market", *scalings, *trade, "--output", "backtest"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DETECT_BACKTEST_DIGESTS}
+    assert digests == DETECT_BACKTEST_DIGESTS
+
+
+def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
+    # every command reads the MinMaxProcess columns; a row is built only on request
+    def refuse(self):
+        raise RuntimeError("an ExtremumPoint row was built")
+
+    monkeypatch.setattr(ExtremumPoint, "__post_init__", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 1500, seed=2, symbol="g2"), tmp_path / "market" / "g2.csv")
+    planted, _ = synth_trend_series(swings=40, seed=3, symbol="planted")
+    write_candle_file(planted, tmp_path / "market" / "planted.csv")
+    commands = [
+        ["detect", "--scaling", "1"],
+        ["stats", "--scaling", "1"],
+        ["sweep", "--scalings", "0.5:2:0.5"],
+        ["backtest", "--scaling", "1", "--direction", "both", "--entry", "0.382", "--target", "1.0"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--input", "market", "--output", argv[0]]) == 0
+    with pytest.raises(RuntimeError):
+        ExtremumPoint("low", 1.0, 0, 0, 1.0, 0.0)
 
 
 # (arguments, texts the error line must contain)

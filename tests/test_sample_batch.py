@@ -166,3 +166,13 @@ def test_linked_pairs_skip_unmatched_events():
     assert batch.linked_pairs(RETRACEMENT, DELAY_X) == [(0.2, 2.0), (0.3, 3.0)]
     assert batch.linked_pairs(DELAY_X, RETRACEMENT) == [(2.0, 0.2), (3.0, 0.3)]
     assert batch.linked_pairs(RETRACEMENT, DELAY_X, "down") == []
+
+
+def test_columns_are_read_only():
+    series = synth_gbm(100.0, 0.0, 0.02, 800, seed=4)
+    mm = run_minmax(series, macd_sar(series))
+    batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
+    assert len(batch) > 0
+    for column in (batch.event, batch.variable, batch.direction, batch.value):
+        with pytest.raises(ValueError):
+            column[0] = column[0]

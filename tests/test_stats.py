@@ -287,6 +287,13 @@ class TestHistogram:
         assert hist.counts.tolist() == [0, 0]
         assert hist.out_of_range == 2
 
+    @pytest.mark.parametrize("samples", [[], [0.25, 0.75]])
+    def test_arrays_are_read_only(self, samples):
+        hist = histogram(samples, HistogramSpec(0.0, 1.0, 0.5))
+        for array in (hist.counts, hist.densities):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
     def test_edge_value_goes_to_upper_bin(self):
         hist = histogram([0.1], HistogramSpec(0.0, 0.2, 0.1))
         assert hist.counts.tolist() == [0, 1]
@@ -314,6 +321,17 @@ class TestHistogram:
             HistogramSpec(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             HistogramSpec(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, width",
+        [(-1e308, 1e308, 1.0), (0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf), (0.0, 1.0, 5e-324)],
+    )
+    def test_non_finite_spec_or_bin_count(self, lo, hi, width):
+        # the bin count (hi - lo) / width must be finite; the error names all three values
+        with pytest.raises(ValueError, match="need finite values") as err:
+            histogram([0.5], HistogramSpec(lo, hi, width))
+        for value in (lo, hi, width):
+            assert repr(value) in str(err.value)
 
 
 class TestFitReport:
