@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 from . import stats as stats_mod
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
-from .market_data import read_candle_file, synth_gbm, synth_trend_series, write_candle_file
+from .market_data import CandleSeries, read_candle_file, synth_gbm, synth_trend_series, write_candle_file
 from .minmax import HIGH, LOW, run_minmax
 from .stats import BivariateLogNormalParams, HistogramSpec
 from .trading import TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
@@ -78,10 +78,15 @@ class RunConfig:
         if self.command in ("detect", "stats", "sweep", "backtest") and not self.inputs:
             raise ValueError("at least one input file is required")
         option = "--scalings" if self.command == "sweep" else "--scaling"
+        seen = set()
         for s in self.scalings:
             # the signal period 9 s is the shortest of the three MACD periods
             if not (math.isfinite(s) and s > 0.0 and ScalingConfig(s).signal >= 1.0):
                 raise ValueError(f"bad {option} value {s!r}: need a finite scaling >= 1/9 (signal period >= 1)")
+            # a repeated scaling would pool its samples twice
+            if s in seen:
+                raise ValueError(f"repeated {option} value {s!r}: each scaling may appear once")
+            seen.add(s)
         if self.hist_range is not None:
             lo, hi = self.hist_range
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -138,6 +143,23 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
     return "+".join(labels), files
 
 
+def _runs(cfg: RunConfig) -> tuple[str, Iterator[tuple[CandleSeries, float]]]:
+    """Validate cfg and resolve its inputs: the market label and the (series, scaling) runs.
+
+    Every scaling of one file runs before the next file is read.
+    """
+    cfg.validate()
+    market, files = _input_files(cfg.inputs)
+
+    def runs():
+        for path in files:
+            series = read_candle_file(path)
+            for scaling in cfg.scalings:
+                yield series, scaling
+
+    return market, runs()
+
+
 def _detect_one(series, scaling: float):
     sar = macd_sar(series, ScalingConfig(scaling))
     mm = run_minmax(series, sar)
@@ -174,28 +196,25 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_detect(cfg: RunConfig) -> int:
-    cfg.validate()
-    market, files = _input_files(cfg.inputs)
+    market, runs = _runs(cfg)
     sections = []
-    for path in files:
-        series = read_candle_file(path)
-        for scaling in cfg.scalings:
-            mm, phases = _detect_one(series, scaling)
-            extrema = [
-                {"kind": HIGH if high else LOW, "price": price, "bar": bar, "detection_bar": detected, "d_abs": d_abs}
-                for high, price, bar, detected, d_abs in zip(
-                    mm.high.tolist(), mm.price.tolist(), mm.bar.tolist(), mm.detection_bar.tolist(), mm.d_abs.tolist()
-                )
-            ]
-            sections.append(
-                {
-                    "symbol": series.symbol,
-                    "scaling": scaling,
-                    "extrema": extrema,
-                    "phases": [asdict(ph) for ph in phases],
-                    "open_candidate": asdict(mm.open_candidate) if mm.open_candidate else None,
-                }
+    for series, scaling in runs:
+        mm, phases = _detect_one(series, scaling)
+        extrema = [
+            {"kind": HIGH if high else LOW, "price": price, "bar": bar, "detection_bar": detected, "d_abs": d_abs}
+            for high, price, bar, detected, d_abs in zip(
+                mm.high.tolist(), mm.price.tolist(), mm.bar.tolist(), mm.detection_bar.tolist(), mm.d_abs.tolist()
             )
+        ]
+        sections.append(
+            {
+                "symbol": series.symbol,
+                "scaling": scaling,
+                "extrema": extrema,
+                "phases": [asdict(ph) for ph in phases],
+                "open_candidate": asdict(mm.open_candidate) if mm.open_candidate else None,
+            }
+        )
     payload = {"config": _config_json(cfg), "market": market, "sections": sections}
     out = _out_dir(cfg) / "detect.json"
     _write_json(out, payload)
@@ -204,35 +223,25 @@ def cmd_detect(cfg: RunConfig) -> int:
     return 0
 
 
-def _collect_samples(cfg: RunConfig, files: list[Path]):
-    batches = []
-    for path in files:
-        series = read_candle_file(path)
-        for scaling in cfg.scalings:
-            mm, phases = _detect_one(series, scaling)
-            batches.append((scaling, trend_mod.extract_samples(mm, phases, series, scaling=scaling)))
-    return batches
-
-
 def _sample_rows(cfg: RunConfig, batches):
     """samples.csv rows of the selected directions and variables, batch by batch."""
     direction_codes = [trend_mod.DIRECTIONS.index(d) for d in _directions(cfg)]
     variable_codes = [code for code, v in enumerate(trend_mod.VARIABLES) if v in cfg.variables]
 
-    def rows(scaling, batch):
+    def rows(batch):
         keep = np.isin(batch.direction, direction_codes) & np.isin(batch.variable, variable_codes)
         # pair id is unique per leg event within (symbol, scaling)
-        pair_prefix = f"{batch.symbol}:{scaling}:"
+        pair_prefix = f"{batch.symbol}:{batch.scaling}:"
         return zip(
             repeat(batch.symbol),
-            repeat(str(scaling)),
+            repeat(str(batch.scaling)),
             map(trend_mod.DIRECTIONS.__getitem__, batch.direction[keep].tolist()),
             map(trend_mod.VARIABLES.__getitem__, batch.variable[keep].tolist()),
             batch.value[keep].tolist(),  # csv.writer writes a float as its repr
             map(pair_prefix.__add__, map(str, batch.event[keep].tolist())),
         )
 
-    return chain.from_iterable(rows(scaling, batch) for scaling, batch in batches)
+    return chain.from_iterable(map(rows, batches))
 
 
 def _hist_bounds(cfg: RunConfig, variable: str) -> tuple[float, float, float]:
@@ -248,19 +257,18 @@ def _directions(cfg: RunConfig) -> list[str]:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    cfg.validate()
-    market, files = _input_files(cfg.inputs)
-    batches = _collect_samples(cfg, files)
+    market, runs = _runs(cfg)
+    batches = [
+        trend_mod.extract_samples(*_detect_one(series, scaling), series, scaling=scaling) for series, scaling in runs
+    ]
     cells = []
     joints = []
     hist_rows = []
     for scaling in cfg.scalings:
-        scale_batches = [b for s, b in batches if s == scaling]
+        scale_batches = [b for b in batches if b.scaling == scaling]
         for direction in _directions(cfg):
             for variable in cfg.variables:
-                values = np.concatenate(
-                    [b.values(variable, direction) for b in scale_batches]
-                ) if scale_batches else np.array([])
+                values = np.concatenate([b.values(variable, direction) for b in scale_batches])
                 if values.size == 0:
                     continue
                 report = stats_mod.fit_lognormal_report(
@@ -330,17 +338,16 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, scaling_range: str) -> int:
     cfg.scalings = parse_scaling_range(scaling_range)
-    cfg.validate()
-    market, files = _input_files(cfg.inputs)
-    series_list = [read_candle_file(p) for p in files]
+    market, runs = _runs(cfg)
+    # per scaling, the gaps of every file in input order
+    cell_gaps: dict[float, list[int]] = {scaling: [] for scaling in cfg.scalings}
+    for series, scaling in runs:
+        mm, phases = _detect_one(series, scaling)
+        phases = [p for p in phases if cfg.direction in ("both", p.direction)]
+        cell_gaps[scaling].extend(trend_mod.period_gaps(mm, phases))
     rows = []
     fit_points = []
-    for scaling in cfg.scalings:
-        gaps: list[int] = []
-        for series in series_list:
-            mm, phases = _detect_one(series, scaling)
-            phases = [p for p in phases if cfg.direction in ("both", p.direction)]
-            gaps.extend(trend_mod.period_gaps(mm, phases))
+    for scaling, gaps in cell_gaps.items():
         if gaps:
             period = float(np.mean(gaps))
             rows.append([market, scaling, repr(period), len(gaps), "ok"])
@@ -389,29 +396,25 @@ def cmd_trade_eval(cfg: RunConfig, params: BivariateLogNormalParams, spec: Trade
 
 
 def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
-    cfg.validate()
-    market, files = _input_files(cfg.inputs)
-    include_down = cfg.direction in ("down", "both")
+    market, runs = _runs(cfg)
     sections = []
-    for path in files:
-        series = read_candle_file(path)
-        for scaling in cfg.scalings:
-            result = backtest_anticyclic(series, scaling, spec, include_down=include_down)
-            trades = [t for t in result.trades if cfg.direction in ("both", t.direction)]
-            sections.append(
-                {
-                    "symbol": series.symbol,
-                    "scaling": scaling,
-                    "trades": [asdict(t) for t in trades],
-                    "summary": {
-                        "n": len(trades),
-                        "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
-                        "target_rate": float(np.mean([t.reached_target for t in trades])) if trades else None,
-                        "degenerate": result.degenerate,
-                        "truncated": result.truncated,
-                    },
-                }
-            )
+    for series, scaling in runs:
+        result = backtest_anticyclic(series, scaling, spec, directions=_directions(cfg))
+        trades = result.trades
+        sections.append(
+            {
+                "symbol": series.symbol,
+                "scaling": scaling,
+                "trades": [asdict(t) for t in trades],
+                "summary": {
+                    "n": len(trades),
+                    "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
+                    "target_rate": float(np.mean([t.reached_target for t in trades])) if trades else None,
+                    "degenerate": result.degenerate,
+                    "truncated": result.truncated,
+                },
+            }
+        )
     payload = {"config": _config_json(cfg), "market": market, "spec": asdict(spec), "sections": sections}
     out = _out_dir(cfg) / "backtest.json"
     _write_json(out, payload)
@@ -438,29 +441,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trendlab", description="Dow-trend detection and trend statistics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_inputs=True):
-        if with_inputs:
-            p.add_argument("--input", action="append", default=[], help="candle CSV file or directory (repeatable)")
+    # options only some subcommands read; every subcommand takes --output and --seed
+    market_options = {
+        "--input": dict(action="append", default=[], help="candle CSV file or directory (repeatable)"),
+        "--scaling": dict(action="append", type=float, default=None, help="MACD scaling (repeatable)"),
+        "--direction": dict(choices=["up", "down", "both"], default="both"),
+    }
+
+    def common(p, *options):
+        for name in options:
+            p.add_argument(name, **market_options[name])
         p.add_argument("--output", default=None, help="output directory (file path for synth)")
-        p.add_argument("--scaling", action="append", type=float, default=None, help="MACD scaling (repeatable)")
-        p.add_argument("--direction", choices=["up", "down", "both"], default="both")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("detect", help="extrema and trend phases per input and scaling")
-    common(p)
+    common(p, "--input", "--scaling")
 
     p = sub.add_parser("stats", help="log-normal fits, AD tests, and histograms of trend variables")
-    common(p)
+    common(p, "--input", "--scaling", "--direction")
     p.add_argument("--variable", action="append", choices=sorted(_CLI_VARIABLES), default=None, help="restrict to these variables (repeatable)")
     p.add_argument("--range", dest="hist_range", default=None, help="histogram range lo:hi")
     p.add_argument("--bin-width", type=float, default=None, help="histogram bin width")
 
     p = sub.add_parser("sweep", help="mean trend period per scaling plus a linear fit")
-    common(p)
+    common(p, "--input", "--direction")
     p.add_argument("--scalings", default=DEFAULT_SWEEP, help="scaling grid lo:hi:step")
 
     p = sub.add_parser("trade-eval", help="analytic and Monte Carlo expected return of the anti-cyclic trade")
-    common(p, with_inputs=False)
+    common(p)
     p.add_argument("--mu-x", type=float, required=True)
     p.add_argument("--sigma-x", type=float, required=True)
     p.add_argument("--mu-d", type=float, required=True)
@@ -471,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
 
     p = sub.add_parser("backtest", help="replay the anti-cyclic rule over detected corrections")
-    common(p)
+    common(p, "--input", "--scaling", "--direction")
     p.add_argument("--entry", type=float, required=True)
     p.add_argument("--target", type=float, required=True)
 
     p = sub.add_parser("synth", help="write a synthetic candle CSV")
-    common(p, with_inputs=False)
+    common(p)
     p.add_argument("--kind", choices=["gbm", "trends"], default="gbm")
     p.add_argument("--s0", type=float, default=100.0)
     p.add_argument("--drift", type=float, default=0.0)
@@ -492,9 +500,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig(
         command=args.command,
-        inputs=list(getattr(args, "input", []) or []),
-        scalings=list(args.scaling) if args.scaling else list(DEFAULT_SCALINGS),
-        direction=args.direction,
+        inputs=list(getattr(args, "input", [])),
+        scalings=list(getattr(args, "scaling", None) or DEFAULT_SCALINGS),
+        direction=getattr(args, "direction", "both"),
         output=args.output,
         seed=args.seed,
     )

@@ -126,18 +126,6 @@ class CandleSeries:
             yield self[i]
 
     @classmethod
-    def from_candles(cls, symbol: str, candles: Iterable[Candle]) -> "CandleSeries":
-        cs = list(candles)
-        return cls(
-            symbol,
-            tuple(c.timestamp for c in cs),
-            np.array([c.open for c in cs], dtype=float),
-            np.array([c.high for c in cs], dtype=float),
-            np.array([c.low for c in cs], dtype=float),
-            np.array([c.close for c in cs], dtype=float),
-        )
-
-    @classmethod
     def from_closes(cls, symbol: str, closes, timestamps=None) -> "CandleSeries":
         """Series of degenerate bars with open = high = low = close.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -133,20 +133,24 @@ def backtest_anticyclic(
     series: CandleSeries,
     scaling: float,
     spec: TradeSpec,
-    include_down: bool = False,
+    directions: Collection[str] = (trend_mod.UP,),
 ) -> BacktestResult:
     """Replay the anti-cyclic rule over every detected trend correction.
 
     Entry fills at the exact level price (limit order, no slippage) on the
     first bar whose range reaches it; on that same bar the target may fill too
-    (entry first, then target). Down-trend corrections are mirrored and only
-    evaluated when ``include_down`` is set. A correction still open at the end
-    of the series is tallied as truncated when its entry level was already hit.
+    (entry first, then target). Only corrections of phases whose direction is
+    in ``directions`` are evaluated, and only those count towards the
+    tallies; down-trend corrections are mirrored. A correction with a
+    non-positive size, or after a non-positive movement, is tallied as
+    degenerate. A correction starting at the first fixed point has no
+    preceding movement, hence no entry level, and is skipped without a tally.
+    A correction still open at the end of the series is tallied as truncated
+    when its entry level was already hit.
     """
     sar = macd_sar(series, ScalingConfig(scaling))
     mm = run_minmax(series, sar)
-    phases = trend_mod.detect_trends(mm)
-    high = mm.high.tolist()
+    phases = [ph for ph in trend_mod.detect_trends(mm) if ph.direction in directions]
     price = mm.price.tolist()
     bar = mm.bar.tolist()
     detection_bar = mm.detection_bar.tolist()
@@ -158,58 +162,46 @@ def backtest_anticyclic(
     trades: list[TradeOutcome] = []
     degenerate = 0
     truncated = 0
-    for ph in phases:
-        if ph.direction == trend_mod.DOWN and not include_down:
+    leg = None
+    for leg in trend_mod.legs(mm, phases):
+        # correction leg from point a to b = a + 1, after the movement ending at a
+        ph, a, is_correction, corr, movement = leg
+        if not is_correction or a == 0:
+            continue
+        if movement <= 0.0 or corr <= 0.0:
+            degenerate += 1
             continue
         up = ph.direction == trend_mod.UP
-        last_leg_end = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
-        for j in range(ph.start_point_index, last_leg_end):
-            # correction leg from point a = j to point b = j + 1, after movement o = j - 1 -> a
-            is_correction = high[j] == up
-            if not is_correction or j - 1 < 0:
-                continue
-            o_price, a_price, b_price = price[j - 1], price[j], price[j + 1]
-            movement = a_price - o_price if up else o_price - a_price
-            corr = a_price - b_price if up else b_price - a_price
-            if movement <= 0.0 or corr <= 0.0:
-                degenerate += 1
-                continue
-            x = corr / movement
-            if up:
-                entry_price = a_price - spec.entry * movement
-                target_price = a_price - spec.target * movement
-            else:
-                entry_price = a_price + spec.entry * movement
-                target_price = a_price + spec.target * movement
-            entry_bar = _first_touch(lows if up else highs, bar[j] + 1, bar[j + 1], entry_price, up)
-            if entry_bar is None:
-                continue
-            target_bar = _first_touch(lows if up else highs, entry_bar, bar[j + 1], target_price, up)
-            d = d_abs[j + 1] / movement
-            if target_bar is not None:
-                trades.append(
-                    TradeOutcome(spec.target - spec.entry, True, x, d, ph.direction, entry_bar, target_bar)
-                )
-            else:
-                exit_close = detection_close[j + 1]
-                ret = (entry_price - exit_close) / movement if up else (exit_close - entry_price) / movement
-                trades.append(TradeOutcome(ret, False, x, d, ph.direction, entry_bar, detection_bar[j + 1]))
+        a_price = price[a]
+        x = corr / movement
+        if up:
+            entry_price = a_price - spec.entry * movement
+            target_price = a_price - spec.target * movement
+        else:
+            entry_price = a_price + spec.entry * movement
+            target_price = a_price + spec.target * movement
+        entry_bar = _first_touch(lows if up else highs, bar[a] + 1, bar[a + 1], entry_price, up)
+        if entry_bar is None:
+            continue
+        target_bar = _first_touch(lows if up else highs, entry_bar, bar[a + 1], target_price, up)
+        d = d_abs[a + 1] / movement
+        if target_bar is not None:
+            trades.append(TradeOutcome(spec.target - spec.entry, True, x, d, ph.direction, entry_bar, target_bar))
+        else:
+            exit_close = detection_close[a + 1]
+            ret = (entry_price - exit_close) / movement if up else (exit_close - entry_price) / movement
+            trades.append(TradeOutcome(ret, False, x, d, ph.direction, entry_bar, detection_bar[a + 1]))
 
-    # an entry hit inside the still-open final correction has no resolvable exit
-    if mm.open_candidate is not None and phases:
-        ph = phases[-1]
-        k = ph.end_point_index
-        if ph.violation_point_index is None and k == len(price) - 1:
-            include = ph.direction == trend_mod.UP or include_down
+    # an entry hit inside the still-open final correction has no resolvable
+    # exit: the open phase's last leg was a movement into the final point k
+    if leg is not None and mm.open_candidate is not None:
+        ph, a, is_correction, movement, _ = leg
+        k = a + 1
+        if ph.violation_point_index is None and k == len(price) - 1 and not is_correction and movement > 0.0:
             up = ph.direction == trend_mod.UP
-            is_correction = high[k] == up
-            if include and is_correction and k >= 1:
-                movement = price[k] - price[k - 1] if up else price[k - 1] - price[k]
-                if movement > 0.0:
-                    entry_price = price[k] - spec.entry * movement if up else price[k] + spec.entry * movement
-                    hit = _first_touch(lows if up else highs, bar[k] + 1, len(series) - 1, entry_price, up)
-                    if hit is not None:
-                        truncated += 1
+            entry_price = price[k] - spec.entry * movement if up else price[k] + spec.entry * movement
+            if _first_touch(lows if up else highs, bar[k] + 1, len(series) - 1, entry_price, up) is not None:
+                truncated += 1
     return BacktestResult(tuple(trades), degenerate=degenerate, truncated=truncated)
 
 

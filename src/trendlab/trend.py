@@ -7,8 +7,10 @@ Down-trends mirror everything. Phases never overlap: when a new trend's
 establishing quadruple reaches back into the previous phase, its start is
 trimmed to the first point after that phase.
 
-Per completed leg inside a phase the observable variables are emitted, all
-strictly positive ratios except the integer bar-count duration:
+``legs`` walks the completed legs of the phases and is the one place leg
+geometry is derived: each phase's leg range, the movement/correction test and
+the signed leg sizes. Per completed leg the observable variables are emitted,
+all strictly positive ratios except the integer bar-count duration:
 
   movement leg    rel_movement = size / start price, delay_m = d_abs / start price
   correction leg  rel_correction = size / start price, delay_c = d_abs / start price,
@@ -23,8 +25,9 @@ and tallied instead of emitted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -195,6 +198,25 @@ def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
     return phases
 
 
+def legs(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> Iterator[tuple[TrendPhase, int, bool, float, float]]:
+    """Yield ``(phase, a, is_correction, size, previous)`` per completed leg a -> a + 1.
+
+    A phase's legs run from its start point to its violation point, or to its
+    end point while it is open. A correction starts at a high in an up-trend
+    (a low in a down-trend). ``size`` is ``b - a`` into a high and ``a - b``
+    into a low (IEEE negation is exact, so bit for bit); ``previous`` is the
+    size of the leg ending at ``a``, NaN when ``a == 0``.
+    """
+    high = mm.high.tolist()
+    diff = np.diff(mm.price)
+    size = np.where(mm.high[1:], diff, -diff).tolist()
+    for ph in phases:
+        up = ph.direction == UP
+        last = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
+        for a in range(ph.start_point_index, last):
+            yield ph, a, high[a] == up, size[a], size[a - 1] if a else math.nan
+
+
 def extract_samples(
     mm: MinMaxProcess,
     phases: Sequence[TrendPhase],
@@ -202,7 +224,6 @@ def extract_samples(
     scaling: float = float("nan"),
 ) -> SampleBatch:
     """Emit per-leg trend variables for every completed leg inside a phase."""
-    high = mm.high.tolist()
     price = mm.price.tolist()
     bar = mm.bar.tolist()
     d_abs = mm.d_abs.tolist()
@@ -212,8 +233,6 @@ def extract_samples(
     values: list[float] = []
     degenerate = 0
     zero_delay = 0
-    event = 0
-    direction = 0
 
     def emit(variable: int, value: float):
         events.append(event)
@@ -221,41 +240,32 @@ def extract_samples(
         directions.append(direction)
         values.append(value)
 
-    for ph in phases:
+    for event, (ph, a, is_correction, size, previous) in enumerate(legs(mm, phases), 1):
+        if size <= 0.0:
+            degenerate += 1
+            continue
         direction = _DIRECTION_CODE[ph.direction]
-        last_leg_end = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
-        up = ph.direction == UP
-        for j in range(ph.start_point_index, last_leg_end):
-            # leg from point a = j to point b = j + 1
-            a_price, b_price, b_delay = price[j], price[j + 1], d_abs[j + 1]
-            event += 1
-            size = b_price - a_price if high[j + 1] else a_price - b_price
-            if size <= 0.0:
-                degenerate += 1
-                continue
-            if high[j] != up:  # a movement starts at a low in an up-trend
-                emit(_REL_MOVEMENT, size / a_price)
-                if b_delay > 0.0:
-                    emit(_DELAY_M, b_delay / a_price)
-                else:
-                    zero_delay += 1
+        a_price, b_delay = price[a], d_abs[a + 1]
+        if not is_correction:
+            emit(_REL_MOVEMENT, size / a_price)
+            if b_delay > 0.0:
+                emit(_DELAY_M, b_delay / a_price)
             else:
-                emit(_REL_CORRECTION, size / a_price)
-                emit(_DURATION, float(bar[j + 1] - bar[j]))
-                if b_delay > 0.0:
-                    emit(_DELAY_C, b_delay / a_price)
-                else:
-                    zero_delay += 1
-                if j - 1 >= 0:
-                    movement = a_price - price[j - 1] if high[j] else price[j - 1] - a_price
-                    if movement > 0.0:
-                        emit(_RETRACEMENT, size / movement)
-                        if b_delay > 0.0:
-                            emit(_DELAY_X, b_delay / movement)
-                    else:
-                        degenerate += 1
-                else:
-                    degenerate += 1
+                zero_delay += 1
+            continue
+        emit(_REL_CORRECTION, size / a_price)
+        emit(_DURATION, float(bar[a + 1] - bar[a]))
+        if b_delay > 0.0:
+            emit(_DELAY_C, b_delay / a_price)
+        else:
+            zero_delay += 1
+        # a NaN previous (the phase starts at point 0) fails the test too
+        if previous > 0.0:
+            emit(_RETRACEMENT, size / previous)
+            if b_delay > 0.0:
+                emit(_DELAY_X, b_delay / previous)
+        else:
+            degenerate += 1
     return SampleBatch(
         event=np.array(events, dtype=np.int64),
         variable=np.array(variables, dtype=np.int8),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from trendlab import CandleSeries, synth_trend_series, write_candle_file
+from trendlab import CandleSeries, synth_gbm, synth_trend_series, write_candle_file
 from trendlab.cli import DEFAULT_HISTOGRAMS, DEFAULT_SCALINGS, DEFAULT_SWEEP, main, parse_scaling_range
 import swing_fixtures as fx
 
@@ -294,6 +294,57 @@ class TestBacktestCommand:
         [section] = payload["sections"]
         assert section["summary"]["n"] == 3
         assert section["trades"][2]["reached_target"] is True
+
+    def test_direction_tallies_count_only_chosen_legs(self, tmp_path):
+        # at scaling 1 and 1.5 this market's final open phase is an up-trend
+        # whose open correction has reached its entry level: truncated 1 for up
+        data = tmp_path / "market"
+        data.mkdir()
+        write_candle_file(synth_gbm(100.0, 0.0, 0.02, 1500, seed=11, symbol="g11"), data / "g11.csv")
+        sections = {}
+        for direction in ("up", "down", "both"):
+            out = tmp_path / direction
+            argv = ["backtest", "--input", str(data), "--scaling", "1", "--scaling", "1.5", "--direction", direction]
+            assert main([*argv, "--entry", "0.382", "--target", "1.0", "--output", str(out)]) == 0
+            sections[direction] = read_json(out / "backtest.json")["sections"]
+        assert sum(s["summary"]["truncated"] for s in sections["up"]) > 0
+        for up, down, both in zip(sections["up"], sections["down"], sections["both"]):
+            assert {t["direction"] for t in up["trades"]} <= {"up"}
+            assert {t["direction"] for t in down["trades"]} <= {"down"}
+            assert sorted(both["trades"], key=lambda t: t["entry_bar"]) == sorted(
+                up["trades"] + down["trades"], key=lambda t: t["entry_bar"]
+            )
+            for tally in ("n", "degenerate", "truncated"):
+                assert both["summary"][tally] == up["summary"][tally] + down["summary"][tally]
+
+
+class TestSubcommandOptions:
+    # options a subcommand never reads are not accepted
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--input", "m", "--direction", "up"],
+            [*TestTradeEval.ARGS, "--scaling", "1"],
+            [*TestTradeEval.ARGS, "--direction", "up"],
+            ["synth", "--output", "o.csv", "--scaling", "1"],
+            ["synth", "--output", "o.csv", "--direction", "up"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_unread_option_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_scaling_is_a_prefix_of_scalings(self, market_dir, tmp_path, capsys):
+        # argparse completes the prefix, so the value must be a lo:hi:step grid
+        out = tmp_path / "o"
+        assert main(["sweep", "--input", str(market_dir), "--scaling", "1", "--output", str(out)]) == 1
+        assert "bad --scalings range '1'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynth:

@@ -87,6 +87,11 @@ REJECTED = [
     (["stats", "--range", "0:1e9"], ["--range", "1000000000.0"]),
     (["stats", "--bin-width", "5e-324"], ["--bin-width", "5e-324"]),
     (["stats", "--range=-1e308:1e308", "--bin-width", "1"], ["--range", "1e+308"]),
+    (["stats", "--scaling", "1", "--scaling", "1"], ["repeated", "--scaling", "1.0"]),
+    (["detect", "--scaling", "1.5", "--scaling", "2", "--scaling", "1.5"], ["repeated", "--scaling", "1.5"]),
+    (["backtest", "--scaling", "2", "--scaling", "2.0", "--entry", "0.5", "--target", "1"], ["repeated", "--scaling", "2.0"]),
+    # cells 1 + k * 1e-11 all round to 1.0 at ten decimals
+    (["sweep", "--scalings", "1:1.000000001:1e-11"], ["repeated", "--scalings", "1.0"]),
 ]
 
 

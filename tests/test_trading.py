@@ -15,6 +15,7 @@ from trendlab import (
     trade_return,
     truncated_lognormal_mean,
 )
+from trendlab.trend import DOWN, UP
 import swing_fixtures as fx
 
 PARAMS = BivariateLogNormalParams(mu_x=-0.35, mu_d=-1.7, sigma_x=0.5, sigma_d=0.55, rho=0.35)
@@ -154,7 +155,7 @@ class TestBacktest:
     def test_down_trends_need_flag(self):
         series = CandleSeries.from_closes("mirror", fx.mirror_swing_path())
         assert len(backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0))) == 0
-        result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0), include_down=True)
+        result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0), directions=(UP, DOWN))
         assert [t.direction for t in result] == ["down", "down"]
         # mirrored exits: ret = x - a - d off the detection close
         first, second = result
