@@ -16,7 +16,7 @@ from .market_data import (
     synth_trend_series,
     write_candle_file,
 )
-from .minmax import ExtremumPoint, MinMaxProcess, OpenCandidate, relative_delay, run_minmax
+from .minmax import ExtremumPoint, MinMaxProcess, OpenCandidate, run_minmax
 from .stats import (
     BivariateLogNormalParams,
     FitReport,
@@ -54,7 +54,6 @@ from .trend import (
     TrendSample,
     detect_trends,
     extract_samples,
-    mean_period,
     period_gaps,
     period_scaling_fit,
 )

@@ -271,9 +271,7 @@ def cmd_stats(cfg: RunConfig) -> int:
                 values = np.concatenate([b.values(variable, direction) for b in scale_batches])
                 if values.size == 0:
                     continue
-                report = stats_mod.fit_lognormal_report(
-                    values, variable=variable, direction=direction, scaling=scaling, market=market
-                )
+                report = stats_mod.fit_lognormal_report(values)
                 cells.append(
                     {
                         "variable": variable,
@@ -438,7 +436,11 @@ def cmd_synth(cfg: RunConfig, kind: str, s0: float, drift: float, vol: float, ba
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trendlab", description="Dow-trend detection and trend statistics toolkit")
+    # allow_abbrev=False: an option is read only under its full name, so a
+    # prefix such as sweep's --scaling is an error, not a silent --scalings
+    parser = argparse.ArgumentParser(
+        prog="trendlab", description="Dow-trend detection and trend statistics toolkit", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # options only some subcommands read; every subcommand takes --output and --seed
@@ -448,27 +450,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction": dict(choices=["up", "down", "both"], default="both"),
     }
 
-    def common(p, *options):
-        for name in options:
-            p.add_argument(name, **market_options[name])
+    def command(name, help, *options):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **market_options[option])
         p.add_argument("--output", default=None, help="output directory (file path for synth)")
         p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("detect", help="extrema and trend phases per input and scaling")
-    common(p, "--input", "--scaling")
+    command("detect", "extrema and trend phases per input and scaling", "--input", "--scaling")
 
-    p = sub.add_parser("stats", help="log-normal fits, AD tests, and histograms of trend variables")
-    common(p, "--input", "--scaling", "--direction")
+    p = command("stats", "log-normal fits, AD tests, and histograms of trend variables", "--input", "--scaling", "--direction")
     p.add_argument("--variable", action="append", choices=sorted(_CLI_VARIABLES), default=None, help="restrict to these variables (repeatable)")
     p.add_argument("--range", dest="hist_range", default=None, help="histogram range lo:hi")
     p.add_argument("--bin-width", type=float, default=None, help="histogram bin width")
 
-    p = sub.add_parser("sweep", help="mean trend period per scaling plus a linear fit")
-    common(p, "--input", "--direction")
+    p = command("sweep", "mean trend period per scaling plus a linear fit", "--input", "--direction")
     p.add_argument("--scalings", default=DEFAULT_SWEEP, help="scaling grid lo:hi:step")
 
-    p = sub.add_parser("trade-eval", help="analytic and Monte Carlo expected return of the anti-cyclic trade")
-    common(p)
+    p = command("trade-eval", "analytic and Monte Carlo expected return of the anti-cyclic trade")
     p.add_argument("--mu-x", type=float, required=True)
     p.add_argument("--sigma-x", type=float, required=True)
     p.add_argument("--mu-d", type=float, required=True)
@@ -478,13 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True, help="target retracement level t")
     p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
 
-    p = sub.add_parser("backtest", help="replay the anti-cyclic rule over detected corrections")
-    common(p, "--input", "--scaling", "--direction")
+    p = command("backtest", "replay the anti-cyclic rule over detected corrections", "--input", "--scaling", "--direction")
     p.add_argument("--entry", type=float, required=True)
     p.add_argument("--target", type=float, required=True)
 
-    p = sub.add_parser("synth", help="write a synthetic candle CSV")
-    common(p)
+    p = command("synth", "write a synthetic candle CSV")
     p.add_argument("--kind", choices=["gbm", "trends"], default="gbm")
     p.add_argument("--s0", type=float, default=100.0)
     p.add_argument("--drift", type=float, default=0.0)

@@ -48,18 +48,13 @@ def _ohlc_problem(o: float, h: float, l: float, c: float) -> str | None:
 
 @dataclass(frozen=True)
 class Candle:
-    """One OHLC bar; prices strictly positive, low <= open, close <= high."""
+    """One OHLC bar of a CandleSeries, which has already checked it."""
 
     timestamp: Timestamp
     open: float
     high: float
     low: float
     close: float
-
-    def __post_init__(self):
-        problem = _ohlc_problem(self.open, self.high, self.low, self.close)
-        if problem is not None:
-            raise ValueError(f"{problem} in candle at {self.timestamp!r}")
 
 
 @dataclass(frozen=True)

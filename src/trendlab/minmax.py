@@ -12,12 +12,18 @@ the extreme price and the close of the detection bar.
 Everything is causal: a point fixed at detection bar t depends only on candles
 with index <= t, so replaying any prefix reproduces all points already fixed
 within it, byte for byte.
+
+``run_minmax`` returns the fixed points as a ``MinMaxProcess``: read-only
+numpy columns built through keywords and validated once, on construction,
+which is the one place the point invariants are checked. The pipeline reads
+the columns; ``MinMaxProcess.points`` builds ``ExtremumPoint`` rows only when
+a reader asks for them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,20 +36,14 @@ LOW = "low"
 
 @dataclass(frozen=True)
 class ExtremumPoint:
+    """One fixed point as a row, built by ``MinMaxProcess.points`` from checked columns."""
+
     kind: str
     price: float
     bar: int
     detection_bar: int
     detection_close: float
     d_abs: float
-
-    def __post_init__(self):
-        if self.kind not in (HIGH, LOW):
-            raise ValueError(f"bad extremum kind {self.kind!r}")
-        if self.detection_bar < self.bar:
-            raise ValueError("detection_bar must be >= bar")
-        if self.d_abs != abs(self.price - self.detection_close):
-            raise ValueError("d_abs must equal |price - detection_close|")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class OpenCandidate:
     bar: int
 
 
-# (column, dtype) in the order MinMaxProcess takes them
+# (column, dtype) in MinMaxProcess's field order
 COLUMNS = (
     ("high", bool),
     ("price", np.float64),
@@ -75,54 +75,35 @@ _INVARIANTS = (
 )
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class MinMaxProcess:
     """Fixed swing points as read-only columns, one row per point.
 
-    ``high`` is True for a fixed high and False for a fixed low. Build it from
-    the column keywords or from ExtremumPoint rows with ``points=`` (which then
-    replace the columns); either way the columns are validated once, and a
+    ``high`` is True for a fixed high and False for a fixed low. The columns
+    are copied, made read-only and validated once, here and nowhere else; a
     violation names the first offending index. ``points`` builds the rows on
     first use.
     """
 
-    high: np.ndarray
-    price: np.ndarray
-    bar: np.ndarray
-    detection_bar: np.ndarray
-    detection_close: np.ndarray
-    d_abs: np.ndarray
-    open_candidate: Optional[OpenCandidate]
+    high: np.ndarray = ()
+    price: np.ndarray = ()
+    bar: np.ndarray = ()
+    detection_bar: np.ndarray = ()
+    detection_close: np.ndarray = ()
+    d_abs: np.ndarray = ()
+    open_candidate: Optional[OpenCandidate] = None
 
-    def __init__(
-        self,
-        points: Optional[Iterable[ExtremumPoint]] = None,
-        open_candidate: Optional[OpenCandidate] = None,
-        *,
-        high=(),
-        price=(),
-        bar=(),
-        detection_bar=(),
-        detection_close=(),
-        d_abs=(),
-    ):
-        if points is not None:
-            points = tuple(points)
-            self.__dict__["points"] = points  # the rows already exist
-            rows = [(p.kind == HIGH, p.price, p.bar, p.detection_bar, p.detection_close, p.d_abs) for p in points]
-            high, price, bar, detection_bar, detection_close, d_abs = zip(*rows) if rows else ((),) * len(COLUMNS)
-        values = (high, price, bar, detection_bar, detection_close, d_abs)
-        for (name, dtype), value in zip(COLUMNS, values):
-            column = np.array(value, dtype=dtype)
+    def __post_init__(self):
+        for name, dtype in COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "open_candidate", open_candidate)
-        shapes = {getattr(self, name).shape for name, _ in COLUMNS}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
-            raise ValueError("columns must be one-dimensional and of equal length")
         self._validate()
 
     def _validate(self) -> None:
+        shapes = {getattr(self, name).shape for name, _ in COLUMNS}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("columns must be one-dimensional and of equal length")
         n = len(self)
         if n == 0:
             return
@@ -247,9 +228,3 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
         d_abs=np.abs(price - detection_close),
     )
 
-
-def relative_delay(point: ExtremumPoint, denom: float) -> float:
-    """Detection delay of a point expressed in units of ``denom``."""
-    if not denom > 0.0:
-        raise ValueError("denominator must be positive")
-    return point.d_abs / denom

@@ -318,10 +318,6 @@ class FitReport:
     n: int
     ad_stat: Optional[float]
     p_value: Optional[float]
-    variable: str = ""
-    direction: str = ""
-    scaling: float = float("nan")
-    market: str = ""
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -340,13 +336,7 @@ class FitReport:
         return lognormal_moments(self.params)[1]
 
 
-def fit_lognormal_report(
-    samples,
-    variable: str = "",
-    direction: str = "",
-    scaling: float = float("nan"),
-    market: str = "",
-) -> FitReport:
+def fit_lognormal_report(samples) -> FitReport:
     """Fit one sample cell and attach the AD verdict when n allows it."""
     x = np.asarray(samples, dtype=float)
     params = lognormal_mle(x)
@@ -362,4 +352,4 @@ def fit_lognormal_report(
             ad_stat, p_value = anderson_darling_lognormal(x)
         if caught:
             flags.append("z-clamped")
-    return FitReport(params, int(x.size), ad_stat, p_value, variable, direction, scaling, market, tuple(flags))
+    return FitReport(params, int(x.size), ad_stat, p_value, tuple(flags))

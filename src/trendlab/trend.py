@@ -1,11 +1,21 @@
 """Dow-trend phases over a MinMax process and the trend-variable samples.
 
 A market is in an up-trend once the last two fixed lows and the last two fixed
-highs are both strictly increasing; the trend ends at the detection of the
-first point breaking that strict monotonicity (equal values break it too).
+highs are both strictly increasing. The point completing the first such
+quadruple establishes the phase, which starts at the quadruple's first point
+and is observable from the establishing point's detection bar. Every later
+point must lie strictly beyond the previous point of its kind; the first that
+does not (equal values break it too) is the phase's violation point, and the
+trend ends at its detection bar (at the last point's, while still open). A
+violator cannot itself establish a trend: its own pair has just failed the old
+direction and the pair before it held it, so neither direction holds at it.
 Down-trends mirror everything. Phases never overlap: when a new trend's
 establishing quadruple reaches back into the previous phase, its start is
-trimmed to the first point after that phase.
+trimmed to the point after that phase's end point.
+
+``period_gaps`` lists the bar gaps between same-kind points inside phases; a
+trend period is their mean over whatever pool the caller chooses (``sweep``
+pools every file of one scaling).
 
 ``legs`` walks the completed legs of the phases and is the one place leg
 geometry is derived: each phase's leg range, the movement/correction test and
@@ -44,7 +54,6 @@ REL_CORRECTION = "rel_correction"
 DELAY_X = "delay_x"
 DELAY_M = "delay_m"
 DELAY_C = "delay_c"
-PERIOD_GAP = "period_gap"
 
 VARIABLES = (RETRACEMENT, DURATION, REL_MOVEMENT, REL_CORRECTION, DELAY_X, DELAY_M, DELAY_C)
 DIRECTIONS = (UP, DOWN)
@@ -286,14 +295,6 @@ def period_gaps(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> list[int]:
         for i in range(ph.start_point_index, ph.end_point_index - 1):
             gaps.append(bar[i + 2] - bar[i])
     return gaps
-
-
-def mean_period(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> float | None:
-    """Mean same-kind bar gap inside trends, or None when no pair qualifies."""
-    gaps = period_gaps(mm, phases)
-    if not gaps:
-        return None
-    return float(np.mean(gaps))
 
 
 @dataclass(frozen=True)

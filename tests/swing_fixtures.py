@@ -11,6 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from trendlab import MinMaxProcess
+
+
+def process(spec) -> MinMaxProcess:
+    """A MinMaxProcess from (kind, price, bar[, detection_close]) rows, each detected at bar + 1."""
+    price = [float(row[1]) for row in spec]
+    close = [float(row[3]) if len(row) > 3 else p for row, p in zip(spec, price)]
+    return MinMaxProcess(
+        high=[row[0] == "high" for row in spec],
+        price=price,
+        bar=[row[2] for row in spec],
+        detection_bar=[row[2] + 1 for row in spec],
+        detection_close=close,
+        d_abs=[abs(p - c) for p, c in zip(price, close)],
+    )
+
 
 def rise_fall_rise_path() -> np.ndarray:
     """85 bars: 100 -> 130 (bars 0-30), -> 106 (31-54), -> 136 (55-84)."""

@@ -25,7 +25,7 @@ from trendlab import (
     lognormal_mle,
     log_correlation,
     macd_sar,
-    mean_period,
+    period_gaps,
     run_minmax,
     simulate_expected_return,
     synth_gbm,
@@ -89,7 +89,7 @@ def test_criterion_2_fixture_fidelity():
     batch = extract_samples(mm, phases, series, scaling=1.0)
     for variable, expected in fx.MULTI_SWING_SAMPLES.items():
         assert batch.values(variable, "up").tolist() == expected, variable
-    assert mean_period(mm, phases) == fx.MULTI_SWING_MEAN_PERIOD
+    assert np.mean(period_gaps(mm, phases)) == fx.MULTI_SWING_MEAN_PERIOD
 
     # mirrored down-trend
     series = CandleSeries.from_closes("mirror", fx.mirror_swing_path())

@@ -340,10 +340,12 @@ class TestSubcommandOptions:
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_scaling_is_a_prefix_of_scalings(self, market_dir, tmp_path, capsys):
-        # argparse completes the prefix, so the value must be a lo:hi:step grid
+        # options are read only under their full names, so the prefix --scaling is not --scalings
         out = tmp_path / "o"
-        assert main(["sweep", "--input", str(market_dir), "--scaling", "1", "--output", str(out)]) == 1
-        assert "bad --scalings range '1'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--input", str(market_dir), "--scaling", "1", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scaling" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -53,10 +53,10 @@ def test_detect_and_backtest_reports_pinned(tmp_path, monkeypatch):
 
 def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
     # every command reads the MinMaxProcess columns; a row is built only on request
-    def refuse(self):
+    def refuse(self, *args):
         raise RuntimeError("an ExtremumPoint row was built")
 
-    monkeypatch.setattr(ExtremumPoint, "__post_init__", refuse)
+    monkeypatch.setattr(ExtremumPoint, "__init__", refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "market").mkdir()
     write_candle_file(synth_gbm(100.0, 0.0, 0.02, 1500, seed=2, symbol="g2"), tmp_path / "market" / "g2.csv")

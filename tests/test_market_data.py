@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendlab import (
-    Candle,
     CandleParseError,
     CandleSeries,
     format_candles,
@@ -177,10 +176,6 @@ class TestColumnParse:
 
 
 class TestContainers:
-    def test_candle_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Candle(0, 10.0, 9.0, 12.0, 11.0)
-
     def test_series_slice_returns_series(self):
         s = synth_gbm(100.0, 0.0, 0.01, 50, seed=1)
         head = s[:10]

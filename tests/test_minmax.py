@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import (
     CandleSeries,
-    ExtremumPoint,
     SarSeries,
     ScalingConfig,
     macd_sar,
-    relative_delay,
     run_minmax,
     synth_gbm,
 )
@@ -141,22 +139,3 @@ class TestProperties:
                 assert point.price == window_high.max()
             else:
                 assert point.price == window_low.min()
-
-
-class TestRelativeDelay:
-    def test_simple_ratio(self):
-        point = ExtremumPoint("low", 10.0, 5, 7, 12.0, 2.0)
-        assert relative_delay(point, 10.0) == 0.2
-
-    def test_zero_delay(self):
-        point = ExtremumPoint("low", 10.0, 5, 7, 10.0, 0.0)
-        assert relative_delay(point, 3.0) == 0.0
-
-    def test_fractional(self):
-        point = ExtremumPoint("high", 115.0, 5, 7, 110.0, 5.0)
-        assert relative_delay(point, 110.0) == 5.0 / 110.0
-
-    def test_bad_denominator(self):
-        point = ExtremumPoint("low", 10.0, 5, 7, 12.0, 2.0)
-        with pytest.raises(ValueError):
-            relative_delay(point, 0.0)

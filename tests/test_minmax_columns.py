@@ -1,6 +1,5 @@
 """MinMaxProcess columns: a naive reference sweep, the invariant checks, read-only storage."""
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,17 +158,9 @@ BROKEN = {
 }
 
 
-def as_rows(columns):
-    """Duck-typed point rows, so the process's own checks see rows ExtremumPoint would refuse."""
-    names = [name for name, _ in COLUMNS]
-    return [
-        SimpleNamespace(kind="high" if row[0] else "low", **dict(zip(names[1:], row[1:])))
-        for row in zip(*(columns[name] for name in names))
-    ]
-
-
 class TestInvariants:
-    @pytest.mark.parametrize("path", ["columns", "points"])
+    # dataclasses.replace goes through the one constructor, so a derived process is checked too
+    @pytest.mark.parametrize("path", ["columns", "replace"])
     @pytest.mark.parametrize("case", list(BROKEN))
     def test_violation_names_first_index(self, case, path):
         columns, open_candidate, message = BROKEN[case]
@@ -177,15 +168,15 @@ class TestInvariants:
             if path == "columns":
                 MinMaxProcess(open_candidate=open_candidate, **columns)
             else:
-                MinMaxProcess(points=as_rows(columns), open_candidate=open_candidate)
+                dataclasses.replace(MinMaxProcess(**VALID), open_candidate=open_candidate, **columns)
 
-    @pytest.mark.parametrize("path", ["columns", "points"])
+    @pytest.mark.parametrize("path", ["columns", "replace"])
     def test_valid_process_builds_rows(self, path):
         candidate = OpenCandidate("high", 120.0, 13)
         if path == "columns":
             mm = MinMaxProcess(open_candidate=candidate, **VALID)
         else:
-            mm = MinMaxProcess(points=as_rows(VALID), open_candidate=candidate)
+            mm = dataclasses.replace(MinMaxProcess(), open_candidate=candidate, **VALID)
         assert len(mm) == 5
         assert [(p.kind, p.price, p.bar, p.detection_bar, p.d_abs) for p in mm.points] == [
             ("low", 100.0, 0, 2, 1.0),

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendlab import (
-    MinMaxProcess,
     SampleBatch,
     ScalingConfig,
     TrendSample,
@@ -32,6 +31,7 @@ from trendlab.trend import (
     UP,
     VARIABLES,
 )
+import swing_fixtures as fx
 
 
 def reference_rows(mm, phases, symbol, scaling):
@@ -134,7 +134,7 @@ def test_columns_match_row_reference(seed, scaling, vol):
 
 def test_batch_without_phases_is_empty():
     series = synth_gbm(100.0, 0.0, 0.02, 10, seed=1)
-    batch = extract_samples(MinMaxProcess(points=(), open_candidate=None), [], series, scaling=1.0)
+    batch = extract_samples(fx.process([]), [], series, scaling=1.0)
     assert len(batch) == 0 and list(batch) == []
     assert batch.values(RETRACEMENT).dtype == np.float64 and batch.values(RETRACEMENT).size == 0
     assert batch.linked_pairs(RETRACEMENT, DELAY_X) == []

@@ -336,20 +336,14 @@ class TestHistogram:
 
 class TestFitReport:
     def test_small_cell_has_no_p_value(self):
-        report = fit_lognormal_report([1.1, 0.9, 1.3], variable="retracement")
+        report = fit_lognormal_report([1.1, 0.9, 1.3])
         assert report.n == 3
         assert report.p_value is None and report.ad_stat is None
         assert any("n<8" in f for f in report.flags)
 
     def test_full_cell_reports_everything(self):
         rng = np.random.default_rng(13)
-        report = fit_lognormal_report(
-            np.exp(-0.6 + 0.3 * rng.standard_normal(500)),
-            variable="retracement",
-            direction="up",
-            scaling=1.0,
-            market="unit",
-        )
+        report = fit_lognormal_report(np.exp(-0.6 + 0.3 * rng.standard_normal(500)))
         assert report.n == 500
         assert 0.0 <= report.p_value <= 1.0
         assert report.median == pytest.approx(math.exp(report.params.mu))

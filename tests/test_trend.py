@@ -4,28 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import (
     CandleSeries,
-    ExtremumPoint,
-    MinMaxProcess,
     ScalingConfig,
     detect_trends,
     extract_samples,
     macd_sar,
-    mean_period,
+    period_gaps,
     period_scaling_fit,
     run_minmax,
     synth_gbm,
 )
 import swing_fixtures as fx
-
-
-def make_points(spec):
-    """spec: list of (kind, price, bar[, detection_close]); detection at bar+1."""
-    points = []
-    for entry in spec:
-        kind, price, bar = entry[0], float(entry[1]), entry[2]
-        close = float(entry[3]) if len(entry) > 3 else price
-        points.append(ExtremumPoint(kind, price, bar, bar + 1, close, abs(price - close)))
-    return MinMaxProcess(points=tuple(points), open_candidate=None)
 
 
 def series_for(mm, n=None):
@@ -35,7 +23,7 @@ def series_for(mm, n=None):
 
 class TestDetectTrends:
     def test_up_established_at_fourth_point(self):
-        mm = make_points([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
+        mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
         phases = detect_trends(mm)
         assert len(phases) == 1
         ph = phases[0]
@@ -46,7 +34,7 @@ class TestDetectTrends:
         assert ph.start_detection_bar == 16  # detection of the completing high
 
     def test_lower_low_ends_trend(self):
-        mm = make_points(
+        mm = fx.process(
             [("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15), ("low", 103, 20)]
         )
         ph = detect_trends(mm)[0]
@@ -55,25 +43,25 @@ class TestDetectTrends:
         assert ph.end_detection_bar == 21
 
     def test_equal_low_ends_trend(self):
-        mm = make_points(
+        mm = fx.process(
             [("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15), ("low", 105, 20)]
         )
         ph = detect_trends(mm)[0]
         assert ph.violation_point_index == 4
 
     def test_down_trend_mirrored(self):
-        mm = make_points([("high", 115, 0), ("low", 105, 5), ("high", 110, 10), ("low", 100, 15)])
+        mm = fx.process([("high", 115, 0), ("low", 105, 5), ("high", 110, 10), ("low", 100, 15)])
         ph = detect_trends(mm)[0]
         assert ph.direction == "down"
         assert ph.established_point_index == 3
 
     def test_no_trend_on_mixed_points(self):
-        mm = make_points([("low", 100, 0), ("high", 110, 5), ("low", 95, 10), ("high", 115, 15)])
+        mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 95, 10), ("high", 115, 15)])
         assert detect_trends(mm) == []
 
     def test_phases_never_overlap(self):
         # up-trend breaks, then the break low seeds an immediate down-trend
-        mm = make_points(
+        mm = fx.process(
             [
                 ("low", 100, 0),
                 ("high", 110, 5),
@@ -93,8 +81,8 @@ class TestDetectTrends:
         assert down.end_point_index == 6
 
     def test_depends_only_on_point_sequence(self):
-        a = make_points([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
-        b = make_points(
+        a = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
+        b = fx.process(
             [("low", 100, 0, 101), ("high", 110, 5, 108), ("low", 105, 10, 107), ("high", 115, 15, 112)]
         )
         pa, pb = detect_trends(a)[0], detect_trends(b)[0]
@@ -108,7 +96,7 @@ class TestDetectTrends:
 class TestExtractSamples:
     def hand_mm(self):
         # movement 100 -> 110, correction to 105 detected 2 above the low
-        return make_points(
+        return fx.process(
             [
                 ("low", 100, 0),
                 ("high", 110, 20, 108),
@@ -205,22 +193,22 @@ class TestExtractSamples:
 
 class TestMeanPeriod:
     def test_equal_gaps(self):
-        mm = make_points([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
-        assert mean_period(mm, detect_trends(mm)) == 10.0
+        mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
+        assert np.mean(period_gaps(mm, detect_trends(mm))) == 10.0
 
     def test_single_movement_insufficient(self):
-        mm = make_points([("low", 100, 0), ("high", 110, 5)])
-        assert mean_period(mm, detect_trends(mm)) is None
+        mm = fx.process([("low", 100, 0), ("high", 110, 5)])
+        assert period_gaps(mm, detect_trends(mm)) == []
 
     def test_mixed_gaps(self):
-        mm = make_points([("low", 100, 0), ("high", 110, 5), ("low", 105, 8), ("high", 115, 17)])
+        mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 105, 8), ("high", 115, 17)])
         # gaps: lows 8, highs 12
-        assert mean_period(mm, detect_trends(mm)) == 10.0
+        assert np.mean(period_gaps(mm, detect_trends(mm))) == 10.0
 
     def test_multi_swing_value(self):
         series = CandleSeries.from_closes("multi", fx.multi_swing_path())
         mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
-        assert mean_period(mm, detect_trends(mm)) == fx.MULTI_SWING_MEAN_PERIOD
+        assert np.mean(period_gaps(mm, detect_trends(mm))) == fx.MULTI_SWING_MEAN_PERIOD
 
 
 class TestPeriodScalingFit:
