@@ -1,20 +1,29 @@
 """Command-line surface: detect, stats, sweep, trade-eval, backtest, synth.
 
 Reports are deterministic for a given (inputs, seed): JSON for fits, trade
-evaluations, detection, and backtests; CSV for histograms and sweeps. Every
-report embeds the resolved run configuration for provenance. Samples from all
-files of an input directory are pooled into one market, named after the
-directory (or the single file's stem).
+evaluations, detection, and backtests; CSV for histograms, samples and sweeps.
+Every report embeds the resolved run configuration for provenance. Samples
+from all files of an input directory are pooled into one market, named after
+the directory (or the single file's stem).
+
+The bytes of a report are a contract. A JSON report is exactly
+``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``. A CSV report is what
+``csv.writer(fh, lineterminator="\\n")`` writes: fields quoted only when they
+need it, and ``\\n`` line ends. They are written without json's pure-Python
+indent encoder and without a csv.writer call per row (see ``_json_text`` and
+``_csv_field``).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -168,23 +177,91 @@ def _detect_one(series, scaling: float):
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
+    d = dict(vars(cfg))
     d["hist_range"] = list(cfg.hist_range) if cfg.hist_range else None
     return d
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _holds_container(values: Iterable) -> bool:
+    return any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+@functools.cache
+def _c_encode(depth: int):
+    """json's C encoder, with an item separator that starts a new line ``depth`` levels in."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``depth`` levels deep.
+
+    json encodes with its pure-Python encoder whenever ``indent`` is set. Here
+    json's C encoder writes, in one call each, every container that holds no
+    container and every list of such non-empty dicts (trades, extrema,
+    phases); only containers of other containers are walked in Python.
+    Scalars, keys and rejected types (TypeError) are all left to json.
+    """
+    if isinstance(value, dict):
+        brackets, children = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, children = "[]", value
+    else:
+        return _c_encode(0)(value)
+    if not children:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + brackets[1]
+    if not _holds_container(children):
+        return brackets[0] + inner + _c_encode(depth + 1)(value)[1:-1] + close
+    if (
+        brackets == "[]"
+        and all(map(isinstance, children, repeat(dict)))
+        and all(children)
+        and not _holds_container(chain.from_iterable(map(dict.values, children)))
+    ):
+        # "}", a separator and "{" meet only between two records:
+        # no scalar ends in "}" and every key starts with '"'
+        item = "\n" + "  " * (depth + 2)
+        records = _c_encode(depth + 2)(value)[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
+        return "[" + inner + "{" + item + records + inner + "}" + close
+    if brackets == "{}":
+        # json's own rendering of a key: a one-item dict's text ahead of "null}"
+        parts = [_c_encode(0)({key: None})[1:-5] + _json_text(child, depth + 1) for key, child in sorted(value.items())]
+    else:
+        parts = [_json_text(child, depth + 1) for child in value]
+    return brackets[0] + inner + ("," + inner).join(parts) + close
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: Iterable[Iterable]) -> None:
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer(lineterminator="\\n") writes it as one field of a row."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        # rare, so csv itself quotes it and its rule stays the only one
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        return buf.getvalue()[:-1]
+    return text
+
+
+def _csv_join(fields: Iterable) -> str:
+    """Two or more fields joined into a row as csv.writer joins them, without the line end."""
+    return ",".join(map(_csv_field, map(str, fields)))
+
+
+def _write_csv(path: Path, cfg: RunConfig, header: list[str], lines: Iterable[str]) -> None:
+    """Write the config comment, the header row and the already formatted lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("# config: " + json.dumps(_config_json(cfg), sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -211,8 +288,8 @@ def cmd_detect(cfg: RunConfig) -> int:
                 "symbol": series.symbol,
                 "scaling": scaling,
                 "extrema": extrema,
-                "phases": [asdict(ph) for ph in phases],
-                "open_candidate": asdict(mm.open_candidate) if mm.open_candidate else None,
+                "phases": [dict(vars(ph)) for ph in phases],
+                "open_candidate": dict(vars(mm.open_candidate)) if mm.open_candidate else None,
             }
         )
     payload = {"config": _config_json(cfg), "market": market, "sections": sections}
@@ -223,25 +300,31 @@ def cmd_detect(cfg: RunConfig) -> int:
     return 0
 
 
-def _sample_rows(cfg: RunConfig, batches):
-    """samples.csv rows of the selected directions and variables, batch by batch."""
+def _sample_lines(cfg: RunConfig, batches) -> Iterator[str]:
+    """samples.csv lines of the selected directions and variables, one string per batch."""
     direction_codes = [trend_mod.DIRECTIONS.index(d) for d in _directions(cfg)]
     variable_codes = [code for code, v in enumerate(trend_mod.VARIABLES) if v in cfg.variables]
-
-    def rows(batch):
+    n_variables = len(trend_mod.VARIABLES)
+    for batch in batches:
         keep = np.isin(batch.direction, direction_codes) & np.isin(batch.variable, variable_codes)
-        # pair id is unique per leg event within (symbol, scaling)
-        pair_prefix = f"{batch.symbol}:{batch.scaling}:"
-        return zip(
-            repeat(batch.symbol),
-            repeat(str(batch.scaling)),
-            map(trend_mod.DIRECTIONS.__getitem__, batch.direction[keep].tolist()),
-            map(trend_mod.VARIABLES.__getitem__, batch.variable[keep].tolist()),
-            batch.value[keep].tolist(),  # csv.writer writes a float as its repr
-            map(pair_prefix.__add__, map(str, batch.event[keep].tolist())),
+        scaling = str(batch.scaling)
+        # pair id is unique per leg event within (symbol, scaling); it needs
+        # quoting exactly when the symbol does, and the event goes inside the quotes
+        pair = _csv_field(f"{batch.symbol}:{scaling}:")
+        pair_open, pair_close = (pair[:-1], '"') if pair.endswith('"') else (pair, "")
+        # one "symbol,scaling,direction,variable," prefix per direction * n_variables + variable code
+        prefixes = [
+            _csv_join([batch.symbol, scaling, direction, variable]) + ","
+            for direction in trend_mod.DIRECTIONS
+            for variable in trend_mod.VARIABLES
+        ]
+        codes = batch.direction[keep].astype(np.int64) * n_variables + batch.variable[keep]
+        yield "".join(
+            [
+                f"{prefixes[code]}{value!r},{pair_open}{event}{pair_close}\n"
+                for code, value, event in zip(codes.tolist(), batch.value[keep].tolist(), batch.event[keep].tolist())
+            ]
         )
-
-    return chain.from_iterable(map(rows, batches))
 
 
 def _hist_bounds(cfg: RunConfig, variable: str) -> tuple[float, float, float]:
@@ -263,7 +346,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     ]
     cells = []
     joints = []
-    hist_rows = []
+    hist_lines = []
     for scaling in cfg.scalings:
         scale_batches = [b for b in batches if b.scaling == scaling]
         for direction in _directions(cfg):
@@ -290,8 +373,9 @@ def cmd_stats(cfg: RunConfig) -> int:
                 )
                 hist = stats_mod.histogram(values, HistogramSpec(*_hist_bounds(cfg, variable)))
                 edges = hist.spec.edges.tolist()
-                hist_rows.extend(
-                    [market, variable, direction, scaling, repr(lo), repr(hi), count, repr(density)]
+                prefix = _csv_join([market, variable, direction, scaling])
+                hist_lines.extend(
+                    f"{prefix},{lo!r},{hi!r},{count},{density!r}\n"
                     for lo, hi, count, density in zip(edges, edges[1:], hist.counts.tolist(), hist.densities.tolist())
                 )
             for var_a, var_b in LINKED_PAIRS:
@@ -322,13 +406,13 @@ def cmd_stats(cfg: RunConfig) -> int:
         out / "histograms.csv",
         cfg,
         ["market", "variable", "direction", "scaling", "bin_lo", "bin_hi", "count", "density"],
-        hist_rows,
+        hist_lines,
     )
     _write_csv(
         out / "samples.csv",
         cfg,
         ["symbol", "scaling", "direction", "variable", "value", "pair_id"],
-        _sample_rows(cfg, batches),
+        _sample_lines(cfg, batches),
     )
     print(f"stats: {len(cells)} cells, {len(joints)} joint cells -> {out}")
     return 0
@@ -362,7 +446,8 @@ def cmd_sweep(cfg: RunConfig, scaling_range: str) -> int:
             "n": fit.n,
         }
     out = _out_dir(cfg)
-    _write_csv(out / "sweep.csv", cfg, ["market", "scaling", "period", "n_gaps", "status"], rows)
+    lines = [_csv_join(row) + "\n" for row in rows]
+    _write_csv(out / "sweep.csv", cfg, ["market", "scaling", "period", "n_gaps", "status"], lines)
     _write_json(out / "sweep_fit.json", {"config": _config_json(cfg), "market": market, "fit": fit_payload})
     print(f"sweep: {len(rows)} scaling cells -> {out}")
     return 0
@@ -380,8 +465,8 @@ def cmd_trade_eval(cfg: RunConfig, params: BivariateLogNormalParams, spec: Trade
     if cfg.output:
         payload = {
             "config": _config_json(cfg),
-            "params": asdict(params),
-            "spec": asdict(spec),
+            "params": dict(vars(params)),
+            "spec": dict(vars(spec)),
             "mc_samples": mc_samples,
             "analytic": analytic,
             "mc_mean": mc_mean,
@@ -403,7 +488,7 @@ def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
             {
                 "symbol": series.symbol,
                 "scaling": scaling,
-                "trades": [asdict(t) for t in trades],
+                "trades": [dict(vars(t)) for t in trades],
                 "summary": {
                     "n": len(trades),
                     "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
@@ -413,7 +498,7 @@ def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
                 },
             }
         )
-    payload = {"config": _config_json(cfg), "market": market, "spec": asdict(spec), "sections": sections}
+    payload = {"config": _config_json(cfg), "market": market, "spec": dict(vars(spec)), "sections": sections}
     out = _out_dir(cfg) / "backtest.json"
     _write_json(out, payload)
     n_trades = sum(s["summary"]["n"] for s in sections)

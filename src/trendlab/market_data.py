@@ -234,13 +234,11 @@ def _parse_columns(rows: list[str], width: int, symbol: str) -> CandleSeries | N
 
 def format_candles(series: CandleSeries) -> str:
     """Serialize to candle CSV. Floats use repr, so parse -> format -> parse is exact."""
-    out = ["date,open,high,low,close"]
-    for i in range(len(series)):
-        ts = series.timestamps[i]
-        ts_txt = ts.isoformat() if isinstance(ts, date) else str(ts)
-        o, h, l, c = (float(a[i]) for a in (series.open, series.high, series.low, series.close))
-        out.append(f"{ts_txt},{o!r},{h!r},{l!r},{c!r}")
-    return "\n".join(out) + "\n"
+    stamps = [ts.isoformat() if isinstance(ts, date) else ts for ts in series.timestamps]
+    columns = (series.open.tolist(), series.high.tolist(), series.low.tolist(), series.close.tolist())
+    return "date,open,high,low,close\n" + "".join(
+        [f"{ts},{o!r},{h!r},{l!r},{c!r}\n" for ts, o, h, l, c in zip(stamps, *columns)]
+    )
 
 
 def read_candle_file(path) -> CandleSeries:

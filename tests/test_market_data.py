@@ -93,6 +93,8 @@ class TestRoundTrip:
     def test_parse_format_parse_is_identity(self, rows):
         text = HEADER + "\n" + "\n".join(f"{t},{o!r},{h!r},{l!r},{c!r}" for t, o, h, l, c in rows)
         first = parse_candles(text, "rt")
+        # text written with repr floats is what format_candles writes, byte for byte
+        assert format_candles(first) == text + "\n"
         second = parse_candles(format_candles(first), "rt")
         assert first.timestamps == second.timestamps
         for name in ("open", "high", "low", "close"):
@@ -105,6 +107,17 @@ class TestRoundTrip:
         assert np.all(series.low > 0)
         assert np.all((series.low <= series.open) & (series.open <= series.high))
         assert np.all((series.low <= series.close) & (series.close <= series.high))
+
+
+def test_format_candles_bytes():
+    ohlc = ([1.0, 2.5], [1.5, 3.0], [0.5, 2.0], [1.25, 0.1 + 2.2])
+    assert format_candles(CandleSeries("x", (7, 9), *ohlc)) == (
+        "date,open,high,low,close\n7,1.0,1.5,0.5,1.25\n9,2.5,3.0,2.0,2.3000000000000003\n"
+    )
+    assert format_candles(CandleSeries("x", (date(2020, 1, 2), date(2020, 1, 3)), *ohlc)) == (
+        "date,open,high,low,close\n2020-01-02,1.0,1.5,0.5,1.25\n2020-01-03,2.5,3.0,2.0,2.3000000000000003\n"
+    )
+    assert format_candles(CandleSeries("x", (), [], [], [], [])) == "date,open,high,low,close\n"
 
 
 def _gbm_lines(n, dates=False):
