@@ -35,11 +35,13 @@ from .indicators import ScalingConfig, macd_sar
 from .market_data import CandleSeries, read_candle_file, synth_gbm, synth_trend_series, write_candle_file
 from .minmax import HIGH, LOW, run_minmax
 from .stats import BivariateLogNormalParams, HistogramSpec
-from .trading import TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
+from .trading import MC_MIN_DRAWS, TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
 
 DEFAULT_SCALINGS = (1.0, 1.2, 1.5, 2.0, 3.0)
 DEFAULT_SWEEP = "0.5:5:0.1"
 DEFAULT_MC_SAMPLES = 1_000_000
+# trade-eval --mc-samples; the Monte Carlo holds ~17 bytes per draw, ~1.7 GB here
+MAX_MC_SAMPLES = 100_000_000
 # histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
 MAX_HIST_BINS = 1_000_000
 
@@ -86,6 +88,8 @@ class RunConfig:
     def validate(self):
         if self.command in ("detect", "stats", "sweep", "backtest") and not self.inputs:
             raise ValueError("at least one input file is required")
+        if self.seed < 0:
+            raise ValueError(f"bad --seed {self.seed}: need a non-negative integer")
         option = "--scalings" if self.command == "sweep" else "--scaling"
         seen = set()
         for s in self.scalings:
@@ -153,11 +157,10 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
 
 
 def _runs(cfg: RunConfig) -> tuple[str, Iterator[tuple[CandleSeries, float]]]:
-    """Validate cfg and resolve its inputs: the market label and the (series, scaling) runs.
+    """Resolve cfg's inputs: the market label and the (series, scaling) runs.
 
     Every scaling of one file runs before the next file is read.
     """
-    cfg.validate()
     market, files = _input_files(cfg.inputs)
 
     def runs():
@@ -418,8 +421,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, scaling_range: str) -> int:
-    cfg.scalings = parse_scaling_range(scaling_range)
+def cmd_sweep(cfg: RunConfig) -> int:
     market, runs = _runs(cfg)
     # per scaling, the gaps of every file in input order
     cell_gaps: dict[float, list[int]] = {scaling: [] for scaling in cfg.scalings}
@@ -578,6 +580,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _trade_spec(args: argparse.Namespace) -> TradeSpec:
+    """TradeSpec of --entry/--target; an error names the option at fault and its value."""
+    if not args.entry > 0.0:
+        raise ValueError(f"bad --entry {args.entry!r}: need 0 < entry < target")
+    if not args.target > args.entry:
+        raise ValueError(f"bad --target {args.target!r} for --entry {args.entry!r}: need 0 < entry < target")
+    return TradeSpec(args.entry, args.target)
+
+
+def _trade_eval_options(args: argparse.Namespace) -> tuple[BivariateLogNormalParams, TradeSpec, int]:
+    """trade-eval's law, trade and draw count; an error names the option at fault and its value."""
+    for option, value in (("--mu-x", args.mu_x), ("--mu-d", args.mu_d)):
+        if not math.isfinite(value):
+            raise ValueError(f"bad {option} {value!r}: need a finite mu")
+    for option, value in (("--sigma-x", args.sigma_x), ("--sigma-d", args.sigma_d)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"bad {option} {value!r}: need a finite sigma > 0")
+    if not abs(args.rho) < 1.0:
+        raise ValueError(f"bad --rho {args.rho!r}: need -1 < rho < 1")
+    if not MC_MIN_DRAWS <= args.mc_samples <= MAX_MC_SAMPLES:
+        raise ValueError(
+            f"bad --mc-samples {args.mc_samples}: need {MC_MIN_DRAWS} to {MAX_MC_SAMPLES} draws (MAX_MC_SAMPLES)"
+        )
+    params = BivariateLogNormalParams(args.mu_x, args.mu_d, args.sigma_x, args.sigma_d, args.rho)
+    return params, _trade_spec(args), args.mc_samples
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -590,23 +619,25 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     try:
-        if args.command == "detect":
-            return cmd_detect(cfg)
         if args.command == "stats":
             if args.variable:
                 cfg.variables = [_CLI_VARIABLES[v] for v in args.variable]
             if args.hist_range is not None:
                 cfg.hist_range = _parse_range(args.hist_range)
             cfg.bin_width = args.bin_width
+        if args.command == "sweep":
+            cfg.scalings = parse_scaling_range(args.scalings)
+        cfg.validate()
+        if args.command == "detect":
+            return cmd_detect(cfg)
+        if args.command == "stats":
             return cmd_stats(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.scalings)
+            return cmd_sweep(cfg)
         if args.command == "trade-eval":
-            params = BivariateLogNormalParams(args.mu_x, args.mu_d, args.sigma_x, args.sigma_d, args.rho)
-            spec = TradeSpec(args.entry, args.target)
-            return cmd_trade_eval(cfg, params, spec, args.mc_samples)
+            return cmd_trade_eval(cfg, *_trade_eval_options(args))
         if args.command == "backtest":
-            return cmd_backtest(cfg, TradeSpec(args.entry, args.target))
+            return cmd_backtest(cfg, _trade_spec(args))
         if args.command == "synth":
             return cmd_synth(cfg, args.kind, args.s0, args.drift, args.vol, args.bars, args.swings, args.symbol)
         parser.error(f"unknown command {args.command!r}")

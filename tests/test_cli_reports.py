@@ -4,7 +4,8 @@ import hashlib
 import pytest
 
 from trendlab import ExtremumPoint, synth_gbm, synth_trend_series, write_candle_file
-from trendlab.cli import MAX_HIST_BINS, RunConfig, main
+from trendlab import cli
+from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, RunConfig, main
 from trendlab.trend import RETRACEMENT
 
 # sha256 of the stats reports for the market built in test_stats_reports_pinned,
@@ -49,6 +50,28 @@ def test_detect_and_backtest_reports_pinned(tmp_path, monkeypatch):
     assert main(["backtest", "--input", "market", *scalings, *trade, "--output", "backtest"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DETECT_BACKTEST_DIGESTS}
     assert digests == DETECT_BACKTEST_DIGESTS
+
+
+LAW = ["--mu-x", "-0.6", "--sigma-x", "0.3", "--mu-d", "-0.7", "--sigma-d", "0.15", "--rho", "0.6"]
+TRADE = ["--entry", "0.382", "--target", "1.0"]
+
+# sha256 of trade_eval.json for the two runs of test_trade_eval_reports_pinned,
+# computed with the one-shot Monte Carlo over full-length arrays that preceded
+# the blocked one
+TRADE_EVAL_DIGESTS = {
+    "eval_a/trade_eval.json": "5eaa213e2bfc74430b521e48cf50ec6ecf3c29e70320067bb98965e7ba8982fa",
+    "eval_b/trade_eval.json": "ab027d49ac2e384be79273457715b142038fb69b08b91ccfdcd2609fcb54728e",
+}
+
+
+def test_trade_eval_reports_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["trade-eval", *LAW, *TRADE, "--output", "eval_a"]) == 0
+    law_b = ["--mu-x", "-0.4", "--sigma-x", "0.5", "--mu-d", "-1.2", "--sigma-d", "0.4", "--rho", "-0.3"]
+    trade_b = ["--entry", "0.5", "--target", "inf", "--mc-samples", "50001", "--seed", "3"]
+    assert main(["trade-eval", *law_b, *trade_b, "--output", "eval_b"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in TRADE_EVAL_DIGESTS}
+    assert digests == TRADE_EVAL_DIGESTS
 
 
 def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
@@ -120,3 +143,59 @@ def test_bin_count_limit_is_inclusive():
     above = RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, MAX_HIST_BINS + 1.0), bin_width=1.0)
     with pytest.raises(ValueError, match="--range/--bin-width"):
         above.validate()
+
+MISSING = ["--input", "missing.csv"]
+# (arguments, texts the error line must contain); a repeated option overrides
+# its earlier value in LAW or TRADE
+REJECTED_RUN_OPTIONS = [
+    *(([*argv, "--seed", "-1"], ["--seed", "-1"]) for argv in (
+        ["detect", *MISSING],
+        ["stats", *MISSING],
+        ["sweep", *MISSING],
+        ["backtest", *MISSING, *TRADE],
+        ["trade-eval", *LAW, *TRADE],
+        ["synth"],
+    )),
+    (["trade-eval", *LAW, *TRADE, "--mc-samples", "5000"], ["--mc-samples", "5000"]),
+    (["trade-eval", *LAW, *TRADE, "--mc-samples", "9999"], ["--mc-samples", "9999"]),
+    (["trade-eval", *LAW, *TRADE, "--mc-samples", str(MAX_MC_SAMPLES + 1)], ["--mc-samples", str(MAX_MC_SAMPLES + 1)]),
+    (["trade-eval", *LAW, *TRADE, "--mc-samples", "1000000000000"], ["--mc-samples", "1000000000000"]),
+    (["trade-eval", *LAW, *TRADE, "--sigma-x", "0"], ["--sigma-x", "0.0"]),
+    (["trade-eval", *LAW, *TRADE, "--sigma-d", "-0.1"], ["--sigma-d", "-0.1"]),
+    (["trade-eval", *LAW, *TRADE, "--sigma-d", "inf"], ["--sigma-d", "inf"]),
+    (["trade-eval", *LAW, *TRADE, "--mu-x", "nan"], ["--mu-x", "nan"]),
+    (["trade-eval", *LAW, *TRADE, "--rho", "1.0"], ["--rho", "1.0"]),
+    (["trade-eval", *LAW, *TRADE, "--rho", "-1"], ["--rho", "-1.0"]),
+    (["trade-eval", *LAW, "--entry", "0.9", "--target", "0.5"], ["--target", "0.5", "--entry", "0.9"]),
+    (["trade-eval", *LAW, "--entry", "0", "--target", "0.5"], ["--entry", "0.0"]),
+    (["trade-eval", *LAW, "--entry", "0.5", "--target", "nan"], ["--target", "nan"]),
+    (["backtest", *MISSING, "--entry", "-0.5", "--target", "1"], ["--entry", "-0.5"]),
+    (["backtest", *MISSING, "--entry", "0.5", "--target", "0.5"], ["--target", "0.5", "--entry", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("argv, named", REJECTED_RUN_OPTIONS, ids=[" ".join(argv) for argv, _ in REJECTED_RUN_OPTIONS])
+def test_run_options_rejected_before_any_draw(tmp_path, capsys, monkeypatch, argv, named):
+    # no draw is made and no input read
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a draw was made")
+
+    for name in ("simulate_expected_return", "synth_gbm", "synth_trend_series", "read_candle_file"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    rc = main([*argv, "--output", "o"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for text in named:
+        assert text in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mc_sample_limits_are_inclusive(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "simulate_expected_return", lambda params, spec, n, seed: seen.append(n) or (0.0, 0.0))
+    monkeypatch.chdir(tmp_path)
+    for n in (10_000, MAX_MC_SAMPLES):
+        assert main(["trade-eval", *LAW, *TRADE, "--mc-samples", str(n)]) == 0
+    assert seen == [10_000, MAX_MC_SAMPLES]
