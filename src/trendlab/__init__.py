@@ -4,9 +4,8 @@ Pipeline: candle series -> MACD SAR -> alternating swing extrema (MinMax
 process) -> trend phases -> per-leg trend variables -> log-normal fits and
 anti-cyclic trade evaluation.
 """
-from .indicators import SarSeries, ScalingConfig, ema, macd, macd_sar
+from .indicators import SarSeries, ScalingConfig, macd_sar
 from .market_data import (
-    Candle,
     CandleParseError,
     CandleSeries,
     format_candles,

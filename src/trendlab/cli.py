@@ -607,6 +607,19 @@ def _trade_eval_options(args: argparse.Namespace) -> tuple[BivariateLogNormalPar
     return params, _trade_spec(args), args.mc_samples
 
 
+def _check_synth_options(args: argparse.Namespace) -> None:
+    """synth's generator parameters; an error names the option at fault and its value."""
+    for option, value in (("--bars", args.bars), ("--swings", args.swings)):
+        if value < 1:
+            raise ValueError(f"bad {option} {value}: need at least 1")
+    if not (math.isfinite(args.s0) and args.s0 > 0.0):
+        raise ValueError(f"bad --s0 {args.s0!r}: need a finite price > 0")
+    if not (math.isfinite(args.vol) and args.vol >= 0.0):
+        raise ValueError(f"bad --vol {args.vol!r}: need a finite vol >= 0")
+    if not math.isfinite(args.drift):
+        raise ValueError(f"bad --drift {args.drift!r}: need a finite drift")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -639,6 +652,7 @@ def main(argv=None) -> int:
         if args.command == "backtest":
             return cmd_backtest(cfg, _trade_spec(args))
         if args.command == "synth":
+            _check_synth_options(args)
             return cmd_synth(cfg, args.kind, args.s0, args.drift, args.vol, args.bars, args.swings, args.symbol)
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, FileNotFoundError) as exc:  # CandleParseError is a ValueError

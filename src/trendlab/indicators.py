@@ -1,10 +1,13 @@
-"""EMA, MACD, and the two-valued MACD SAR process.
+"""The two-valued MACD SAR process.
 
-A single positive scaling parameter s stretches the classic (12/26/9) MACD
-periods to (12s/26s/9s); non-integer periods are handled directly through the
-EMA smoothing factor alpha = 2/(period+1), no resampling. The SAR value is +1
-while the MACD line is above its signal line, -1 while below, and carries the
-previous value on exact ties (first defined value defaults to -1 on a tie).
+The MACD line is the fast EMA minus the slow EMA of the closes, and the signal
+line is the EMA of the MACD line; each EMA is seeded with its first input,
+e[0] = v[0], e[t] = alpha*v[t] + (1-alpha)*e[t-1]. A single positive scaling
+parameter s stretches the classic (12/26/9) MACD periods to (12s/26s/9s);
+non-integer periods are handled directly through the EMA smoothing factor
+alpha = 2/(period+1), no resampling. The SAR value is +1 while the MACD line
+is above its signal line, -1 while below, and carries the previous value on
+exact ties (first defined value defaults to -1 on a tie).
 All functions are pure; identical inputs give bit-identical outputs.
 """
 from __future__ import annotations
@@ -80,48 +83,18 @@ class SarSeries:
         return len(self.values)
 
 
-def ema(values, period: float) -> np.ndarray:
-    """Exponential moving average, seeded with the first value.
-
-    e[0] = v[0]; e[t] = alpha*v[t] + (1-alpha)*e[t-1], alpha = 2/(period+1).
-    """
-    if period < 1.0:
-        raise ValueError("period must be >= 1")
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ValueError("ema of empty input")
-    alpha = 2.0 / (period + 1.0)
-    beta = 1.0 - alpha
-    vals = v.tolist()
-    out = [0.0] * len(vals)
-    acc = vals[0]
-    out[0] = acc
-    for i in range(1, len(vals)):
-        acc = alpha * vals[i] + beta * acc
-        out[i] = acc
-    return np.array(out)
-
-
-def macd(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """MACD line (fast EMA - slow EMA of closes) and its signal-line EMA."""
-    if len(series) == 0:
-        raise ValueError("macd of empty series")
-    macd_line = ema(series.close, cfg.fast) - ema(series.close, cfg.slow)
-    signal_line = ema(macd_line, cfg.signal)
-    return macd_line, signal_line
-
-
 def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarSeries:
     """Two-valued MACD SAR: sign of (macd_line - signal_line) with tie carry.
 
-    One fused pass over the closes. Every EMA step is the same IEEE operation
-    as in ``ema``/``macd`` (alpha*x, multiplied by numpy up front, plus
-    beta*acc), so the lines are bit-identical to theirs. The lines are
-    compared directly: with gradual underflow, line - signal is zero only
-    when line == signal. The pass records only the bars where the sign flips
-    and expands the runs afterwards. An empty series gives an empty SarSeries.
+    One fused pass over the closes. Every EMA step is alpha*x, multiplied by
+    numpy up front, plus beta*acc, the same IEEE operations as three separate
+    EMA passes (fast, slow, then signal over fast - slow), so the lines are
+    bit-identical to theirs. The lines are compared directly: with gradual
+    underflow, line - signal is zero only when line == signal. The pass
+    records only the bars where the sign flips and expands the runs
+    afterwards. An empty series gives an empty SarSeries.
     """
-    if cfg.signal < 1.0:  # the smallest of the three periods, as ``ema`` requires
+    if cfg.signal < 1.0:  # the smallest of the three periods
         raise ValueError("period must be >= 1")
     n = len(series)
     if n == 0:

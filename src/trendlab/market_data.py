@@ -1,9 +1,14 @@
 """OHLC candle containers, CSV parsing/serialization, and synthetic generators.
 
-Candle files are plain CSV with a header ``date,open,high,low,close[,volume]``.
-The date column holds either ISO-8601 dates or plain integer bar indices.
-Bar distance is always measured as index difference within a series; calendar
-gaps are ignored.
+Candle files are plain CSV with a header ``date,open,high,low,close[,volume]``;
+rows with and without the (ignored) volume field may mix. A timestamp is an
+``int`` bar index or a 10-character ``YYYY-MM-DD`` date on every Python
+version, and the first row fixes which. Bar distance is always measured as
+index difference within a series; calendar gaps are ignored.
+
+``parse_candles`` builds every series' columns in one column-wise pass, and
+``CandleSeries`` is the one place that checks bars. A malformed field is
+reported before any bad bar, even one on an earlier row.
 
 All containers are immutable after construction and safe to share across
 threads or processes.
@@ -15,7 +20,8 @@ import operator
 from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
-from typing import Iterable, Iterator, Union
+from pathlib import Path
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -34,32 +40,32 @@ class CandleParseError(ValueError):
         self.row = row
 
 
-def _ohlc_problem(o: float, h: float, l: float, c: float) -> str | None:
+class BarError(ValueError):
+    """A CandleSeries bar that breaks a rule: ``index`` is its 0-based position, ``reason`` the rule."""
+
+    def __init__(self, message: str, index: int, reason: str):
+        super().__init__(message)
+        self.index = index
+        self.reason = reason
+
+
+def _ohlc_problem(o: float, h: float, l: float, c: float) -> str:
     if not (l > 0.0 and math.isfinite(o) and math.isfinite(h) and math.isfinite(l) and math.isfinite(c)):
         return "non-positive or non-finite price"
     if h < l:
         return "high < low"
     if not (l <= o <= h):
         return "open outside [low, high]"
-    if not (l <= c <= h):
-        return "close outside [low, high]"
-    return None
-
-
-@dataclass(frozen=True)
-class Candle:
-    """One OHLC bar of a CandleSeries, which has already checked it."""
-
-    timestamp: Timestamp
-    open: float
-    high: float
-    low: float
-    close: float
+    return "close outside [low, high]"
 
 
 @dataclass(frozen=True)
 class CandleSeries:
-    """A symbol plus parallel OHLC arrays with strictly increasing timestamps."""
+    """A symbol plus parallel OHLC arrays with strictly increasing timestamps.
+
+    A bad bar raises BarError naming the first bad index under either rule;
+    where one bar breaks both, the OHLC rule is named.
+    """
 
     symbol: str
     timestamps: tuple[Timestamp, ...]
@@ -76,49 +82,39 @@ class CandleSeries:
         n = len(self.timestamps)
         if not (self.open.shape == self.high.shape == self.low.shape == self.close.shape == (n,)):
             raise ValueError("OHLC arrays and timestamps must have equal length")
-        if n:
-            bad = ~(
-                (self.low > 0.0)
-                & (self.low <= self.open) & (self.open <= self.high)
-                & (self.low <= self.close) & (self.close <= self.high)
-                & np.isfinite(self.open) & np.isfinite(self.high)
-                & np.isfinite(self.low) & np.isfinite(self.close)
-            )
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(
-                    f"invalid OHLC bar at index {i}: "
-                    f"{_ohlc_problem(self.open[i], self.high[i], self.low[i], self.close[i])}"
-                )
+        o, h, l, c = self.open, self.high, self.low, self.close
+        # NaN fails every comparison, and a finite high bounds the other prices
+        good = (l > 0.0) & (l <= o) & (o <= h) & (l <= c) & (c <= h) & np.isfinite(h)
+        bad_bar = n if good.all() else int(good.argmin())
         ts = self.timestamps
-        if not all(map(operator.gt, ts[1:], ts)):
-            i = next(i for i in range(1, n) if not ts[i] > ts[i - 1])  # type: ignore[operator]
-            raise ValueError(f"non-increasing timestamp at index {i}")
+        try:
+            ordered = all(map(operator.gt, ts[1:bad_bar], ts))
+        except TypeError:  # an int and a date
+            ordered = False
+        if not ordered:
+            for i in range(1, bad_bar):
+                try:
+                    if ts[i] > ts[i - 1]:
+                        continue
+                except TypeError:
+                    raise BarError(f"mixed timestamp types at index {i}", i, "mixed timestamp types") from None
+                raise BarError(f"non-increasing timestamp at index {i}", i, "non-increasing timestamp")
+        if bad_bar < n:
+            problem = _ohlc_problem(o[bad_bar], h[bad_bar], l[bad_bar], c[bad_bar])
+            raise BarError(f"invalid OHLC bar at index {bad_bar}: {problem}", bad_bar, problem)
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return CandleSeries(
-                self.symbol,
-                self.timestamps[item],
-                self.open[item],
-                self.high[item],
-                self.low[item],
-                self.close[item],
-            )
-        return Candle(
+    def __getitem__(self, item: slice) -> "CandleSeries":
+        return CandleSeries(
+            self.symbol,
             self.timestamps[item],
-            float(self.open[item]),
-            float(self.high[item]),
-            float(self.low[item]),
-            float(self.close[item]),
+            self.open[item],
+            self.high[item],
+            self.low[item],
+            self.close[item],
         )
-
-    def __iter__(self) -> Iterator[Candle]:
-        for i in range(len(self)):
-            yield self[i]
 
     @classmethod
     def from_closes(cls, symbol: str, closes, timestamps=None) -> "CandleSeries":
@@ -131,11 +127,27 @@ class CandleSeries:
         return cls(symbol, ts, c.copy(), c.copy(), c.copy(), c.copy())
 
 
+def _dates(raw: list[str], ints: bool) -> list[Timestamp]:
+    """The one date rule: ``int`` fields, or 10-character ``YYYY-MM-DD`` dates.
+
+    Checking the form before ``date.fromisoformat`` keeps out what it accepts
+    only on Python 3.11+, such as the week date 2020-W01-1. Raises ValueError.
+    """
+    if ints:
+        return list(map(int, raw))
+    if not all(len(t) == 10 and t[4] == t[7] == "-" for t in raw):
+        raise ValueError("date not in YYYY-MM-DD form")
+    return list(map(date.fromisoformat, raw))
+
+
 def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
     """Parse candle CSV text into a validated series.
 
-    Raises CandleParseError with the offending 1-based data row on any
-    malformed field, OHLC violation, or non-increasing timestamp.
+    Blank lines and whitespace around fields are ignored. Raises
+    CandleParseError with a 1-based data row: the first row with a malformed
+    field if there is one (wrong field count, bad date, a date format other
+    than the first row's, non-numeric price), otherwise the first bad bar
+    (non-positive or non-finite price, OHLC order, non-increasing timestamp).
     """
     if isinstance(text, str):
         lines = text.splitlines()
@@ -147,89 +159,74 @@ def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
     header = [f.strip().lower() for f in lines[0].split(",")]
     if tuple(header[:5]) != HEADER_FIELDS or len(header) > 6 or (len(header) == 6 and header[5] != "volume"):
         raise CandleParseError(f"bad header {lines[0]!r}: expected 'date,open,high,low,close[,volume]'")
-    series = _parse_columns(lines[1:], len(header), symbol)
-    return series if series is not None else _parse_rows(lines[1:], symbol)
+    rows = lines[1:]
+    try:
+        timestamps, ohlc = _parse_columns(rows)
+    except ValueError:
+        _parse_rows(rows)  # raises the CandleParseError naming the first malformed row
+        raise
+    try:
+        return CandleSeries(symbol, timestamps, *ohlc)
+    except BarError as exc:
+        row = exc.index + 1
+        raise CandleParseError(f"{exc.reason} at row {row}", row) from None
 
 
-def _parse_rows(rows: list[str], symbol: str) -> CandleSeries:
-    """Row-by-row parse that raises CandleParseError naming the first bad row."""
-    timestamps: list[Timestamp] = []
-    opens: list[float] = []
-    highs: list[float] = []
-    lows: list[float] = []
-    closes: list[float] = []
+def _parse_rows(rows: list[str]) -> None:
+    """Row scan that raises CandleParseError naming the first row with a malformed field."""
     int_dates: bool | None = None
     for row, line in enumerate(rows, start=1):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (5, 6):
             raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
-        raw_ts = parts[0]
-        try:
-            ts: Timestamp = int(raw_ts)
-            is_int = True
-        except ValueError:
+        for is_int in (True, False):
             try:
-                ts = date.fromisoformat(raw_ts)
-                is_int = False
+                _dates(parts[:1], is_int)
+                break
             except ValueError:
-                raise CandleParseError(f"bad date {raw_ts!r} at row {row}", row) from None
+                pass
+        else:
+            raise CandleParseError(f"bad date {parts[0]!r} at row {row}", row)
         if int_dates is None:
             int_dates = is_int
         elif int_dates != is_int:
             raise CandleParseError(f"mixed date formats at row {row}", row)
         try:
-            o, h, l, c = (float(parts[i]) for i in range(1, 5))
+            for price in parts[1:5]:
+                float(price)
         except ValueError:
             raise CandleParseError(f"non-numeric price at row {row}", row) from None
-        problem = _ohlc_problem(o, h, l, c)
-        if problem is not None:
-            raise CandleParseError(f"{problem} at row {row}", row)
-        if timestamps and not ts > timestamps[-1]:  # type: ignore[operator]
-            raise CandleParseError(f"non-increasing timestamp at row {row}", row)
-        timestamps.append(ts)
-        opens.append(o)
-        highs.append(h)
-        lows.append(l)
-        closes.append(c)
-    return CandleSeries(symbol, tuple(timestamps), np.array(opens), np.array(highs), np.array(lows), np.array(closes))
 
 
-def _parse_columns(rows: list[str], width: int, symbol: str) -> CandleSeries | None:
-    """Column-wise parse of well-formed rows, PARSE_BLOCK rows at a time.
+def _parse_columns(rows: list[str]) -> tuple[tuple[Timestamp, ...], list[np.ndarray]]:
+    """Timestamps and open/high/low/close columns of the rows, PARSE_BLOCK rows at a time.
 
-    Returns None when a row has a different field count than the header or
-    any field or bar is invalid; the row-by-row parser then names the row.
-    The date format is fixed by the first row, as in the row parser, and an
-    ISO date is taken only in the 10-character YYYY-MM-DD form, which int()
-    never accepts.
+    Raises ValueError on any malformed field; the bars are left to CandleSeries.
+    The date format is fixed by the first row. In a file whose rows mix five and
+    six fields, six-field rows first drop their (ignored) volume field.
     """
+    commas = set(map(str.count, rows, repeat(",")))
+    if not commas <= {4, 5}:
+        raise ValueError("rows need 5 or 6 fields")
+    if len(commas) == 2:
+        rows = [row.rsplit(",", 1)[0] if row.count(",") == 5 else row for row in rows]
+    width = 6 if commas == {5} else 5
     n = len(rows)
-    if n == 0 or set(map(str.count, rows, repeat(","))) != {width - 1}:
-        return None
     try:
         int(rows[0].split(",", 1)[0])
         int_dates = True
-    except ValueError:
+    except (IndexError, ValueError):  # IndexError: a header-only file
         int_dates = False
     timestamps: list[Timestamp] = []
     ohlc = [np.empty(n) for _ in range(4)]
-    try:
-        for start in range(0, n, PARSE_BLOCK):
-            block = rows[start:start + PARSE_BLOCK]
-            stop = start + len(block)
-            fields = ",".join(block).split(",")
-            raw_ts = list(map(str.strip, fields[0::width]))
-            if int_dates:
-                timestamps.extend(map(int, raw_ts))
-            elif all(len(t) == 10 and t[4] == t[7] == "-" for t in raw_ts):
-                timestamps.extend(map(date.fromisoformat, raw_ts))
-            else:
-                return None
-            for j, column in enumerate(ohlc, start=1):
-                column[start:stop] = list(map(float, fields[j::width]))
-        return CandleSeries(symbol, tuple(timestamps), *ohlc)
-    except ValueError:
-        return None
+    for start in range(0, n, PARSE_BLOCK):
+        block = rows[start:start + PARSE_BLOCK]
+        stop = start + len(block)
+        fields = ",".join(block).split(",")
+        timestamps.extend(_dates(list(map(str.strip, fields[0::width])), int_dates))
+        for j, column in enumerate(ohlc, start=1):
+            column[start:stop] = list(map(float, fields[j::width]))
+    return tuple(timestamps), ohlc
 
 
 def format_candles(series: CandleSeries) -> str:
@@ -242,8 +239,6 @@ def format_candles(series: CandleSeries) -> str:
 
 
 def read_candle_file(path) -> CandleSeries:
-    from pathlib import Path
-
     p = Path(path)
     try:
         return parse_candles(p.read_text(encoding="utf-8"), symbol=p.stem)
@@ -252,8 +247,6 @@ def read_candle_file(path) -> CandleSeries:
 
 
 def write_candle_file(series: CandleSeries, path) -> None:
-    from pathlib import Path
-
     Path(path).write_text(format_candles(series), encoding="utf-8")
 
 

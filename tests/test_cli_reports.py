@@ -171,6 +171,14 @@ REJECTED_RUN_OPTIONS = [
     (["trade-eval", *LAW, "--entry", "0.5", "--target", "nan"], ["--target", "nan"]),
     (["backtest", *MISSING, "--entry", "-0.5", "--target", "1"], ["--entry", "-0.5"]),
     (["backtest", *MISSING, "--entry", "0.5", "--target", "0.5"], ["--target", "0.5", "--entry", "0.5"]),
+    (["synth", "--bars", "0"], ["--bars", "0"]),
+    (["synth", "--kind", "trends", "--swings", "-3"], ["--swings", "-3"]),
+    (["synth", "--s0", "-5"], ["--s0", "-5.0"]),
+    (["synth", "--s0", "inf"], ["--s0", "inf"]),
+    (["synth", "--vol", "-1"], ["--vol", "-1.0"]),
+    (["synth", "--vol", "nan"], ["--vol", "nan"]),
+    (["synth", "--drift", "inf"], ["--drift", "inf"]),
+    (["synth", "--drift=-inf"], ["--drift", "-inf"]),
 ]
 
 

@@ -4,8 +4,40 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendlab import CandleSeries, ScalingConfig, ema, macd, macd_sar, synth_gbm
+from trendlab import CandleSeries, ScalingConfig, macd_sar, synth_gbm
 from swing_fixtures import reference_flip_bars
+
+
+# The separate EMA and MACD passes: macd_sar's bitwise oracle.
+def ema(values, period: float) -> np.ndarray:
+    """Exponential moving average, seeded with the first value.
+
+    e[0] = v[0]; e[t] = alpha*v[t] + (1-alpha)*e[t-1], alpha = 2/(period+1).
+    """
+    if period < 1.0:
+        raise ValueError("period must be >= 1")
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("ema of empty input")
+    alpha = 2.0 / (period + 1.0)
+    beta = 1.0 - alpha
+    vals = v.tolist()
+    out = [0.0] * len(vals)
+    acc = vals[0]
+    out[0] = acc
+    for i in range(1, len(vals)):
+        acc = alpha * vals[i] + beta * acc
+        out[i] = acc
+    return np.array(out)
+
+
+def macd(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """MACD line (fast EMA - slow EMA of closes) and its signal-line EMA."""
+    if len(series) == 0:
+        raise ValueError("macd of empty series")
+    macd_line = ema(series.close, cfg.fast) - ema(series.close, cfg.slow)
+    signal_line = ema(macd_line, cfg.signal)
+    return macd_line, signal_line
 
 
 class TestEma:

@@ -12,7 +12,8 @@ from trendlab import (
     synth_gbm,
     synth_trend_series,
 )
-from trendlab.market_data import PARSE_BLOCK, _parse_columns, _parse_rows
+from trendlab import market_data
+from trendlab.market_data import PARSE_BLOCK, BarError
 
 HEADER = "date,open,high,low,close"
 
@@ -23,7 +24,7 @@ class TestParse:
         series = parse_candles(text, "demo")
         assert len(series) == 2
         assert series.close.tolist() == [11.0, 12.0]
-        assert series[0].open == 10.0 and series[1].high == 13.0
+        assert series.open[0] == 10.0 and series.high[1] == 13.0
 
     def test_high_below_low_rejected(self):
         text = f"{HEADER}\n2020-01-02,10,9,12,11\n"
@@ -63,6 +64,38 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(CandleParseError, match="bad header"):
             parse_candles("time,o,h,l,c\n", "demo")
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            (f"{HEADER}\n2020-W01-1,10,12,9,11\n", 1),
+            (f"{HEADER}\n2019-12-29,10,12,9,11\n2020-W01-1,10,12,9,11\n", 2),
+            (f"{HEADER},volume\n2019-12-29,10,12,9,11\n2019-12-30,10,12,9,11,5\n2020-W01-1,10,12,9,11\n", 3),
+        ],
+        ids=["first-row", "iso-file", "ragged-iso-file"],
+    )
+    def test_week_date_rejected_on_every_python(self, text, row):
+        # Python 3.11+ date.fromisoformat alone accepts 2020-W01-1 (2019-12-30)
+        with pytest.raises(CandleParseError, match=rf"^bad date '2020-W01-1' at row {row}$"):
+            parse_candles(text, "demo")
+
+    def test_malformed_field_reported_before_earlier_bad_bar(self):
+        text = f"{HEADER}\n1,10,9,12,11\n2,10,12,9,11\n3,10,x,9,11\n"
+        with pytest.raises(CandleParseError, match="^non-numeric price at row 3$"):
+            parse_candles(text, "demo")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["2,10,12,9,11", "1,10,12,9,11", "3,10,9,12,11"], "non-increasing timestamp at row 2"),
+            (["1,10,12,9,11", "2,10,9,12,11", "1,10,12,9,11"], "high < low at row 2"),
+            (["2,10,12,9,11", "1,10,9,12,11"], "high < low at row 2"),
+        ],
+        ids=["timestamp-first", "ohlc-first", "same-row"],
+    )
+    def test_first_bad_bar_across_both_rules(self, rows, message):
+        with pytest.raises(CandleParseError, match=f"^{message}$"):
+            parse_candles("\n".join([HEADER, *rows]), "demo")
 
     def test_error_carries_row_number(self):
         try:
@@ -136,33 +169,47 @@ def _assert_same_series(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def _no_row_scan(rows):
+    raise AssertionError("the row scan ran")
+
+
 class TestColumnParse:
     N = 2 * PARSE_BLOCK + 300
 
     @pytest.mark.parametrize("dates", [False, True], ids=["int-dates", "iso-dates"])
-    @pytest.mark.parametrize("variant", ["plain", "volume", "crlf", "padded"])
-    def test_matches_row_parse(self, dates, variant):
+    @pytest.mark.parametrize("variant", ["volume", "crlf", "padded", "blank-lines", "ragged"])
+    def test_layout_variants_match_plain_text(self, monkeypatch, dates, variant):
         lines = _gbm_lines(self.N, dates)
+        plain = parse_candles("\n".join(lines) + "\n", "gbm")
         if variant == "volume":
             lines = [lines[0] + ",volume"] + [f"{ln},{i * 10}" for i, ln in enumerate(lines[1:])]
+        elif variant == "ragged":
+            lines = [lines[0] + ",volume"] + [ln + ",7" if i % 3 else ln for i, ln in enumerate(lines[1:])]
         elif variant == "padded":
             lines = [lines[0]] + [" , ".join(ln.split(",")) + " " for ln in lines[1:]]
+        elif variant == "blank-lines":
+            lines = [ln + "\n  " if i % 500 == 0 else ln for i, ln in enumerate(lines)]
         eol = "\r\n" if variant == "crlf" else "\n"
-        text = eol.join(lines) + eol
-        rows = [ln.strip() for ln in text.splitlines()][1:]
-        width = len(lines[0].split(","))
-        fast = _parse_columns(rows, width, "gbm")
-        assert fast is not None
-        _assert_same_series(fast, _parse_rows(rows, "gbm"))
-        _assert_same_series(parse_candles(text, "gbm"), fast)
-        assert len(fast) == self.N
+        monkeypatch.setattr(market_data, "_parse_rows", _no_row_scan)
+        _assert_same_series(parse_candles(eol.join(lines) + eol, "gbm"), plain)
+        assert len(plain) == self.N
 
-    def test_ragged_rows_fall_back(self):
-        lines = _gbm_lines(50)
-        lines = [lines[0] + ",volume"] + [ln + ",7" if i % 2 else ln for i, ln in enumerate(lines[1:])]
-        rows = lines[1:]
-        assert _parse_columns(rows, 6, "gbm") is None
-        assert len(parse_candles("\n".join(lines), "gbm")) == 50
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ln: ",".join(ln.split(",")[:3] + ["1e9", ln.split(",")[4]]), "low"),
+            (lambda ln: "5," + ln.split(",", 1)[1], "non-increasing timestamp"),
+            (lambda ln: ln.rsplit(",", 1)[0] + ",nan", "non-finite price"),
+        ],
+        ids=["ohlc", "non-increasing", "nan"],
+    )
+    def test_bad_bar_never_reaches_row_scan(self, monkeypatch, edit, message):
+        lines = _gbm_lines(self.N)
+        lines[-1] = edit(lines[-1])
+        monkeypatch.setattr(market_data, "_parse_rows", _no_row_scan)
+        with pytest.raises(CandleParseError, match=f"{message} at row {self.N}$") as info:
+            parse_candles("\n".join(lines), "gbm")
+        assert info.value.row == self.N
 
     def test_compact_iso_date_is_mixed_format(self):
         text = f"{HEADER}\n2020-01-02,10,12,9,11\n20200103,11,13,10,12\n"
@@ -195,10 +242,28 @@ class TestContainers:
         assert isinstance(head, CandleSeries)
         assert len(head) == 10
         assert head.close.tolist() == s.close[:10].tolist()
+        with pytest.raises(TypeError):
+            s[0]
 
     def test_series_rejects_bad_bar(self):
         with pytest.raises(ValueError, match="invalid OHLC"):
             CandleSeries("x", (0,), np.array([10.0]), np.array([9.0]), np.array([12.0]), np.array([11.0]))
+
+    @pytest.mark.parametrize(
+        "timestamps, low, index, message",
+        [
+            ((0, 2, 1, 3), [9.0, 9.0, 9.0, 12.0], 2, "non-increasing timestamp at index 2"),
+            ((0, 1, 3, 2), [9.0, 12.0, 9.0, 9.0], 1, "invalid OHLC bar at index 1: high < low"),
+            ((0, 2, 1, 3), [9.0, 9.0, 12.0, 9.0], 2, "invalid OHLC bar at index 2: high < low"),
+            ((1, date(2020, 1, 1), 3, 4), [9.0] * 4, 1, "mixed timestamp types at index 1"),
+            ((1, 2, 2, date(2020, 1, 1)), [9.0] * 4, 2, "non-increasing timestamp at index 2"),
+        ],
+        ids=["timestamp-first", "ohlc-first", "same-index", "mixed-types", "non-increasing-before-mixed"],
+    )
+    def test_series_names_first_bad_index(self, timestamps, low, index, message):
+        with pytest.raises(BarError, match=f"^{message}$") as info:
+            CandleSeries("x", timestamps, [10.0] * 4, [11.0] * 4, low, [10.5] * 4)
+        assert info.value.index == index
 
     def test_arrays_frozen(self):
         s = synth_gbm(100.0, 0.0, 0.01, 10, seed=1)
