@@ -32,7 +32,15 @@ import numpy as np
 from . import stats as stats_mod
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
-from .market_data import CandleSeries, read_candle_file, synth_gbm, synth_trend_series, write_candle_file
+from .market_data import (
+    TREND_MOVEMENT_REL,
+    BarError,
+    CandleSeries,
+    read_candle_file,
+    synth_gbm,
+    synth_trend_series,
+    write_candle_file,
+)
 from .minmax import HIGH, LOW, run_minmax
 from .stats import BivariateLogNormalParams, HistogramSpec
 from .trading import MC_MIN_DRAWS, TradeSpec, backtest_anticyclic, expected_return, simulate_expected_return
@@ -511,10 +519,16 @@ def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
 def cmd_synth(cfg: RunConfig, kind: str, s0: float, drift: float, vol: float, bars: int, swings: int, symbol: str) -> int:
     if not cfg.output:
         raise ValueError("--output is required for synth")
-    if kind == "gbm":
-        series = synth_gbm(s0, drift, vol, bars, seed=cfg.seed, symbol=symbol)
-    else:
-        series, _ = synth_trend_series(s0=s0, swings=swings, seed=cfg.seed, symbol=symbol)
+    # options that pass _check_synth_options can still leave the float range on a wild draw
+    try:
+        with np.errstate(all="ignore"):
+            if kind == "gbm":
+                series = synth_gbm(s0, drift, vol, bars, seed=cfg.seed, symbol=symbol)
+            else:
+                series, _ = synth_trend_series(s0=s0, swings=swings, seed=cfg.seed, symbol=symbol)
+    except BarError as exc:
+        options = f"--s0 {s0!r}, --drift {drift!r}, --vol {vol!r}" if kind == "gbm" else f"--s0 {s0!r}, --swings {swings}"
+        raise ValueError(f"bad {options} with --seed {cfg.seed}: the path leaves the float range at bar {exc.index}") from None
     out = Path(cfg.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_candle_file(series, out)
@@ -618,6 +632,19 @@ def _check_synth_options(args: argparse.Namespace) -> None:
         raise ValueError(f"bad --vol {args.vol!r}: need a finite vol >= 0")
     if not math.isfinite(args.drift):
         raise ValueError(f"bad --drift {args.drift!r}: need a finite drift")
+    # log prices the options alone take out of the float range, before any draw:
+    # gbm's drift path, with room for its widest wicks (x1.5 above, x0.5 below)
+    if args.kind == "gbm":
+        options = f"--s0 {args.s0!r}, --drift {args.drift!r}, --bars {args.bars}"
+        log_top = math.log(args.s0) + max(args.drift * args.bars, 0.0) + math.log(1.5)
+        log_bottom = math.log(args.s0) + min(args.drift * args.bars, 0.0) + math.log(0.5)
+    else:
+        # each swing high is at most 1 + TREND_MOVEMENT_REL times the last
+        options = f"--s0 {args.s0!r}, --swings {args.swings}"
+        log_top = math.log(args.s0) + args.swings * math.log1p(TREND_MOVEMENT_REL)
+        log_bottom = math.log(args.s0)
+    if not (math.log(sys.float_info.min) < log_bottom and log_top < math.log(sys.float_info.max)):
+        raise ValueError(f"bad {options}: the path can leave the float range")
 
 
 def main(argv=None) -> int:

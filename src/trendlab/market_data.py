@@ -1,6 +1,6 @@
 """OHLC candle containers, CSV parsing/serialization, and synthetic generators.
 
-Candle files are plain CSV with a header ``date,open,high,low,close[,volume]``;
+Candle files are plain UTF-8 CSV with a header ``date,open,high,low,close[,volume]``;
 rows with and without the (ignored) volume field may mix. A timestamp is an
 ``int`` bar index or a 10-character ``YYYY-MM-DD`` date on every Python
 version, and the first row fixes which. Bar distance is always measured as
@@ -30,6 +30,8 @@ Timestamp = Union[date, int]
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
 # rows per block of the column-wise parse: bounds its temporary field lists
 PARSE_BLOCK = 1024
+# synth_trend_series' default swing: each high is this fraction above the last low
+TREND_MOVEMENT_REL = 0.25
 
 
 class CandleParseError(ValueError):
@@ -238,10 +240,23 @@ def format_candles(series: CandleSeries) -> str:
     )
 
 
+def _read_utf8(path: Path) -> str:
+    """The file's text; a byte that is not UTF-8 raises CandleParseError naming its data row."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines wholly before the one holding the byte, counted as parse_candles counts them
+        before = (data[: exc.start].decode("utf-8") + "x").splitlines()[:-1]
+        row = sum(1 for line in before if line.strip())
+        where = f"at row {row}" if row else "in the header"
+        raise CandleParseError(f"non-UTF-8 byte {data[exc.start]:#04x} {where}", row or None) from None
+
+
 def read_candle_file(path) -> CandleSeries:
     p = Path(path)
     try:
-        return parse_candles(p.read_text(encoding="utf-8"), symbol=p.stem)
+        return parse_candles(_read_utf8(p), symbol=p.stem)
     except CandleParseError as exc:
         raise CandleParseError(f"{p}: {exc}", exc.row) from None
 
@@ -280,7 +295,7 @@ def synth_gbm(s0: float, drift: float, vol: float, n: int, seed: int, symbol: st
 def synth_trend_series(
     s0: float = 100.0,
     swings: int = 60,
-    movement_rel: float = 0.25,
+    movement_rel: float = TREND_MOVEMENT_REL,
     movement_bars: int = 15,
     retracement_mu: float = math.log(0.55),
     retracement_sigma: float = 0.30,

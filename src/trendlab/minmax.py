@@ -1,6 +1,6 @@
 """Alternating swing extrema (MinMax process) driven by a SAR indicator.
 
-The sweep tracks one candidate extremum at a time: a running maximum of candle
+The process has one candidate extremum at a time: a running maximum of candle
 highs while searching a high (SAR up), a running minimum of candle lows while
 searching a low (SAR down). A candidate becomes a fixed point when the SAR
 changes sign, or immediately when a bar violates the last fixed opposite
@@ -12,6 +12,16 @@ the extreme price and the close of the detection bar.
 Everything is causal: a point fixed at detection bar t depends only on candles
 with index <= t, so replaying any prefix reproduces all points already fixed
 within it, byte for byte.
+
+``run_minmax`` sweeps run by run, not bar by bar. A run is a stretch of bars
+with one SAR value, so a flip can end a search only at a run's head. One numpy
+pass finds every run's highest high and lowest low; a run whose extremes do
+not break the last fixed point holds no fix past its head, and only a run whose
+extremes do is stepped bar by bar. The candidate is not followed bar by bar
+either: when a point is fixed, it is the first extreme of the search span (the
+bars after the last fixed extremum through the detection bar), one numpy
+argmax or argmin. Python work grows with the number of runs and fixed points,
+not of bars; the points are those of the bar-by-bar definition above.
 
 ``run_minmax`` returns the fixed points as a ``MinMaxProcess``: read-only
 numpy columns built through keywords and validated once, on construction,
@@ -131,6 +141,13 @@ class MinMaxProcess:
         return len(self.price)
 
 
+def _first_extreme(column: np.ndarray, start: int, stop: int, highest: bool) -> tuple[float, int]:
+    """The extreme of column[start:stop] (non-empty) and the first bar holding it."""
+    span = column[start:stop]
+    bar = start + int(span.argmax() if highest else span.argmin())
+    return float(column[bar]), bar
+
+
 def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
     """Sweep a candle series against its SAR values into a MinMax process.
 
@@ -138,6 +155,9 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
     SAR bar (warm-up bars feed the initial candidate but never fix points).
     After a point is fixed, the opposite search scans the bars strictly after
     the fixed extremum through the detection bar, then continues bar by bar.
+
+    Runs start at the warm-up bar and at every flip bar (their heads); see the
+    module docstring for the run-wise sweep.
     """
     n = len(series)
     if len(sar) != n:
@@ -146,85 +166,58 @@ def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
     if w >= n:
         return MinMaxProcess()
 
-    highs = series.high.tolist()
-    lows = series.low.tolist()
-    sar_values = sar.values.tolist()
+    high = series.high
+    low = series.low
+    v = sar.values
+    heads = np.concatenate(([w], np.flatnonzero(v[w + 1 :] != v[w:-1]) + w + 1))
+    stops = np.append(heads[1:], n)
+    run_high = np.maximum.reduceat(high, heads).tolist()
+    run_low = np.minimum.reduceat(low, heads).tolist()
+    head_high = high[heads].tolist()
+    head_low = low[heads].tolist()
+    head_sar = v[heads].tolist()
 
-    # per fixed point: extreme price, extreme bar, detection bar
-    prices: list[float] = []
-    bars: list[int] = []
-    detection_bars: list[int] = []
-    searching_high = sar_values[w] == SAR_UP
+    fixed: list[tuple[float, int, int]] = []  # (extreme price, extreme bar, detection bar)
+    searching_high = head_sar[0] == SAR_UP
     first_high = searching_high
+    start = 0  # the search spans [start .. current bar]
+    # price of the last fixed point (opposite kind); NaN breaks nothing
+    last_fixed = float("nan")
 
-    # seed the first candidate over [0 .. w]
-    cand_bar = 0
-    cand_price = highs[0] if searching_high else lows[0]
-    for j in range(1, w + 1):
-        if searching_high:
-            if highs[j] > cand_price:
-                cand_price, cand_bar = highs[j], j
-        elif lows[j] < cand_price:
-            cand_price, cand_bar = lows[j], j
-
-    last_fixed_price: float | None = None  # price of the last fixed point (opposite kind)
-    prev_sar = sar_values[w]
-
-    for i in range(w + 1, n):
-        s = sar_values[i]
-        hi = highs[i]
-        lo = lows[i]
-        if searching_high:
-            if cand_bar < 0 or hi > cand_price:
-                cand_price, cand_bar = hi, i
-        else:
-            if cand_bar < 0 or lo < cand_price:
-                cand_price, cand_bar = lo, i
-
-        fix = False
-        if s != prev_sar:
-            # a flip only fixes when the vanishing phase matches the search
-            if searching_high and s == SAR_DOWN:
-                fix = True
-            elif not searching_high and s == SAR_UP:
-                fix = True
-        if not fix and last_fixed_price is not None:
+    for k, (h, stop) in enumerate(zip(heads.tolist(), stops.tolist())):
+        if k:
+            # a flip fixes when the vanishing phase matches the search
             if searching_high:
-                fix = lo < last_fixed_price
+                fix = head_sar[k] == SAR_DOWN or head_low[k] < last_fixed
             else:
-                fix = hi > last_fixed_price
-        if fix:
-            prices.append(cand_price)
-            bars.append(cand_bar)
-            detection_bars.append(i)
-            last_fixed_price = cand_price
-            searching_high = not searching_high
-            # rescan (fixed bar, i] for the opposite candidate
-            start = cand_bar + 1
-            cand_bar = -1
-            cand_price = 0.0
-            for j in range(start, i + 1):
-                if searching_high:
-                    if cand_bar < 0 or highs[j] > cand_price:
-                        cand_price, cand_bar = highs[j], j
-                elif cand_bar < 0 or lows[j] < cand_price:
-                    cand_price, cand_bar = lows[j], j
-        prev_sar = s
+                fix = head_sar[k] == SAR_UP or head_high[k] > last_fixed
+            if fix:
+                price, bar = _first_extreme(high if searching_high else low, start, h + 1, searching_high)
+                fixed.append((price, bar, h))
+                last_fixed, searching_high, start = price, not searching_high, bar + 1
+        # the run's extremes include its head, which cannot break here: it passed
+        # the test above, or it lies in the span of the point just fixed
+        if not (run_low[k] < last_fixed if searching_high else run_high[k] > last_fixed):
+            continue
+        for i, hi, lo in zip(range(h + 1, stop), high[h + 1 : stop].tolist(), low[h + 1 : stop].tolist()):
+            if lo < last_fixed if searching_high else hi > last_fixed:
+                price, bar = _first_extreme(high if searching_high else low, start, i + 1, searching_high)
+                fixed.append((price, bar, i))
+                last_fixed, searching_high, start = price, not searching_high, bar + 1
 
     open_candidate = None
-    if cand_bar >= 0:
-        open_candidate = OpenCandidate(HIGH if searching_high else LOW, cand_price, cand_bar)
-    price = np.array(prices, dtype=np.float64)
-    detection_bar = np.array(detection_bars, dtype=np.int64)
-    detection_close = series.close[detection_bar]
+    if start < n:
+        price, bar = _first_extreme(high if searching_high else low, start, n, searching_high)
+        open_candidate = OpenCandidate(HIGH if searching_high else LOW, price, bar)
+    points = np.array(fixed, dtype=[("price", np.float64), ("bar", np.int64), ("detection_bar", np.int64)])
+    detection_close = series.close[points["detection_bar"]]
     return MinMaxProcess(
         open_candidate=open_candidate,
         # kinds alternate from the first search direction
-        high=(np.arange(len(prices)) % 2 == 0) == first_high,
-        price=price,
-        bar=bars,
-        detection_bar=detection_bar,
+        high=(np.arange(len(points)) % 2 == 0) == first_high,
+        price=points["price"],
+        bar=points["bar"],
+        detection_bar=points["detection_bar"],
         detection_close=detection_close,
-        d_abs=np.abs(price - detection_close),
+        d_abs=np.abs(points["price"] - detection_close),
     )
-

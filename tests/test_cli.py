@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ class TestDetect:
         rc = main(["detect", "--input", str(bad), "--output", str(tmp_path / "o")])
         assert rc == 1
         assert "high < low at row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, where",
+        [
+            # data rows are counted as the parser counts them: blank lines skipped
+            (b"date,open,high,low,close\n\n0,10,12,9,11\n1,10,12,9,\xff11\n2,10,12,9,11\n", "at row 2"),
+            (b"date,open,high,low,close\r\n0,10,12,9,11\r\n\xff", "at row 2"),
+            (b"date,open,high,low,close\n0,10,12,9,11\xff\n", "at row 1"),
+            (b"date,op\xffen,high,low,close\n0,10,12,9,11\n", "in the header"),
+        ],
+    )
+    def test_non_utf8_byte_names_file_and_row(self, tmp_path, capsys, raw, where):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(raw)
+        rc = main(["detect", "--input", str(bad), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: non-UTF-8 byte 0xff {where}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_deterministic_reruns_byte_identical(self, market_dir, tmp_path):
         out = tmp_path / "out"
@@ -363,6 +382,18 @@ class TestSynth:
         rc = main(["synth", "--kind", "trends", "--swings", "10", "--seed", "2", "--output", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) > 100
+
+    def test_wild_draw_names_the_options(self, tmp_path, capsys):
+        # the options pass the checks made before any draw; the drawn path overflows
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["synth", "--vol", "1e300", "--bars", "3", "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --s0 100.0, --drift 0.0, --vol 1e+300 with --seed 0: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_same_seed_same_file(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -179,6 +179,9 @@ REJECTED_RUN_OPTIONS = [
     (["synth", "--vol", "nan"], ["--vol", "nan"]),
     (["synth", "--drift", "inf"], ["--drift", "inf"]),
     (["synth", "--drift=-inf"], ["--drift", "-inf"]),
+    # finite options whose path can leave the float range, refused before any draw
+    (["synth", "--drift", "800", "--bars", "3"], ["--s0 100.0", "--drift 800.0", "--bars 3", "float range"]),
+    (["synth", "--kind", "trends", "--s0", "1e308"], ["--s0 1e+308", "--swings 60", "float range"]),
 ]
 
 

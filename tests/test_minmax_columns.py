@@ -87,6 +87,61 @@ def tied_market(draw):
     return CandleSeries.from_closes("tied", closes), sar
 
 
+@st.composite
+def wick_market(draw):
+    """Bars with independent integer-grid wicks, and a SAR of 1- to 12-bar runs after a warm-up.
+
+    A wide bar can set the candidate with its high while its low breaks the
+    last fixed low (and mirrored), so a point can be fixed at its own bar.
+    The bars come from a drawn numpy seed: hypothesis' own lists stay a few
+    elements long, too short for runs with interiors and repeated breaks.
+    """
+    n = draw(st.integers(min_value=1, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    closes = 400.0 + np.cumsum(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], n))
+    opens = np.concatenate(([400.0], closes[:-1]))
+    wicks = [0.0, 0.0, 1.0, 2.0, 3.0]
+    highs = np.maximum(opens, closes) + rng.choice(wicks, n)
+    lows = np.minimum(opens, closes) - rng.choice(wicks, n)
+    warmup = draw(st.integers(min_value=0, max_value=n))
+    runs = rng.integers(1, 13, n)
+    first = draw(st.sampled_from([SAR_DOWN, SAR_UP]))
+    signs = np.repeat(first * (-1) ** np.arange(n), runs)[: n - warmup]
+    sar = SarSeries(np.concatenate((np.zeros(warmup), signs)).astype(np.int8), warmup=warmup)
+    return CandleSeries("wicks", tuple(range(n)), opens, highs, lows, closes), sar
+
+
+def mirrored(series, sar):
+    """The market reflected about 400 (prices p -> 800 - p, SAR negated): highs and lows swap roles."""
+    o, h, l, c = (800.0 - column for column in (series.open, series.high, series.low, series.close))
+    return CandleSeries(series.symbol, series.timestamps, o, l, h, c), SarSeries(-sar.values, warmup=sar.warmup)
+
+
+def wide_bar_market():
+    """Ten bars; bar 7 sets the high candidate and breaks the last fixed low.
+
+    Fixed: low 8 @1 (flip at 2), high 13 @3 (flip at 4), low 10.5 @5 (flip
+    at 6), high 14 @7 detected at bar 7 itself; the low search then starts
+    empty and takes bar 8, and is fixed at bar 9: that flip does not end a low
+    search, but the bar's high breaks the high fixed at 7.
+    """
+    bars = [
+        (10.0, 11.0, 9.0, 10.0),
+        (10.0, 10.5, 8.0, 9.0),
+        (9.0, 12.0, 9.0, 11.0),
+        (11.0, 13.0, 10.0, 12.0),
+        (12.0, 12.5, 11.0, 11.5),
+        (11.5, 12.0, 10.5, 11.0),
+        (11.0, 12.0, 11.0, 11.5),
+        (11.5, 14.0, 10.0, 10.2),
+        (10.2, 10.5, 10.1, 10.3),
+        (10.3, 15.0, 10.2, 14.5),
+    ]
+    series = CandleSeries("wide", tuple(range(len(bars))), *map(np.array, zip(*bars)))
+    sar = SarSeries(np.array([-1, -1, 1, 1, -1, -1, 1, 1, 1, -1], dtype=np.int8), warmup=0)
+    return series, sar
+
+
 class TestNaiveOracle:
     @given(
         st.integers(min_value=0, max_value=200),
@@ -102,6 +157,44 @@ class TestNaiveOracle:
     @settings(max_examples=150)
     def test_ties_and_flat_stretches(self, market):
         assert_matches_naive(*market)
+
+    @given(wick_market())
+    @settings(max_examples=300)
+    def test_wicks_and_long_runs(self, market):
+        assert_matches_naive(*market)
+        assert_matches_naive(*mirrored(*market))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_point_fixed_at_its_own_bar_and_at_a_head_break(self, mirror):
+        market = wide_bar_market()
+        mm = assert_matches_naive(*(mirrored(*market) if mirror else market))
+        assert mm.high.tolist() == [mirror, not mirror] * 2 + [mirror]
+        assert mm.bar.tolist() == [1, 3, 5, 7, 8]
+        assert mm.detection_bar.tolist() == [2, 4, 6, 7, 9]
+        assert mm.open_candidate == (OpenCandidate("low", 785.0, 9) if mirror else OpenCandidate("high", 15.0, 9))
+
+    def test_flip_on_the_last_bar(self):
+        series, sar = wide_bar_market()
+        mm = assert_matches_naive(series[:5], SarSeries(sar.values[:5], warmup=0))
+        assert mm.detection_bar.tolist() == [2, 4] and mm.bar.tolist() == [1, 3]
+        assert mm.open_candidate == OpenCandidate("low", 11.0, 4)
+
+    def test_one_bar_runs(self):
+        # the SAR flips on every bar: each run is its head alone, and each flip ends the search
+        series, _ = wide_bar_market()
+        sar = SarSeries(np.resize(np.array([SAR_UP, SAR_DOWN], dtype=np.int8), len(series)), warmup=0)
+        mm = assert_matches_naive(series, sar)
+        assert len(mm) == len(series) - 1
+
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_warmup_at_the_last_bar_or_past_it(self, short):
+        series, sar = wide_bar_market()
+        warmup = len(series) - short
+        values = np.concatenate((np.zeros(warmup, dtype=np.int8), sar.values[warmup:]))
+        mm = assert_matches_naive(series, SarSeries(values, warmup=warmup))
+        assert len(mm) == 0
+        # the first search is a low search (SAR down at the last bar) over every bar, or nothing
+        assert mm.open_candidate == (OpenCandidate("low", 8.0, 1) if short else None)
 
     def test_first_equal_extreme_wins(self):
         # highs 7 at bars 2 and 4, lows 3 at bars 6 and 8: the earlier bar is the extremum
