@@ -182,6 +182,9 @@ REJECTED_RUN_OPTIONS = [
     # finite options whose path can leave the float range, refused before any draw
     (["synth", "--drift", "800", "--bars", "3"], ["--s0 100.0", "--drift 800.0", "--bars 3", "float range"]),
     (["synth", "--kind", "trends", "--s0", "1e308"], ["--s0 1e+308", "--swings 60", "float range"]),
+    # the slow period 26 s overflows: the first such value of the grid is named
+    (["detect", *MISSING, "--scaling", "1e307"], ["--scaling value 1e+307", "overflows"]),
+    (["sweep", *MISSING, "--scalings", "1e306:1e307:1e306"], ["--scalings value 7e+306", "overflows"]),
 ]
 
 

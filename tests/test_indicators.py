@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendlab import CandleSeries, ScalingConfig, macd_sar, synth_gbm
+from trendlab.market_data import synth_trend_series
 from swing_fixtures import reference_flip_bars
 
 
@@ -84,6 +85,11 @@ class TestScalingConfig:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ScalingConfig(0.0)
+
+    def test_rejects_overflowing_slow_period(self):
+        with pytest.raises(ValueError, match="slow period"):
+            ScalingConfig(1e307)
+        assert ScalingConfig(6e306).warmup == math.ceil(26.0 * 6e306)
 
 
 class TestMacd:
@@ -211,3 +217,56 @@ class TestFusedMacdSar:
     def test_sub_unit_signal_period_rejected(self):
         with pytest.raises(ValueError, match="period must be >= 1"):
             macd_sar(CandleSeries.from_closes("c", [1.0, 2.0]), ScalingConfig(0.1))
+
+
+def assert_matches_three_pass_form(closes, scalings):
+    series = CandleSeries.from_closes("c", closes)
+    for scaling in scalings:
+        cfg = ScalingConfig(scaling)
+        assert macd_sar(series, cfg).values.tobytes() == reference_sar_values(series, cfg).tobytes(), scaling
+
+
+# signal period 1 (every defined bar an exact tie), the workloads' range, and
+# long periods up to 60 (warm-up 1560 bars)
+NEAR_TIE_SCALINGS = [1 / 9, 0.5, 1.0, 1.2, 3.0, 7.5, 60.0]
+
+
+class TestNearTies:
+    """Inputs where line - signal sits at or near zero for many bars, so the
+    blocked method's sign is uncertain there and the exact scalar steps decide.
+    The swing, grid, growth and crash series are longer than 8**4 bars, so the
+    blocked EMAs carry across at least four levels."""
+
+    @pytest.mark.parametrize("s0", [1e-200, 1e-60, 1.0, 100.0, 1e60, 1e200])
+    def test_piecewise_linear_swings(self, s0):
+        # flat warm-up, then straight up- and down-legs on a linspace grid
+        series, _ = synth_trend_series(s0=s0, swings=190, seed=4)
+        assert len(series) > 8**4
+        assert_matches_three_pass_form(series.close, NEAR_TIE_SCALINGS)
+
+    def test_integer_grid_with_flat_stretches(self):
+        rng = np.random.default_rng(8)
+        levels = 100.0 + np.cumsum(rng.integers(-2, 3, size=400))
+        closes = np.repeat(levels, rng.integers(1, 40, size=levels.size))[: 8**4 + 500]
+        assert closes.size > 8**4
+        assert_matches_three_pass_form(closes, NEAR_TIE_SCALINGS)
+
+    def test_exponential_growth_and_crash(self):
+        t = np.arange(8**4 + 300.0)
+        # growth by 1% a bar to ~1e19; apart, a crash from 1e6 to 1 between flat stretches
+        assert_matches_three_pass_form(np.exp(0.01 * t), NEAR_TIE_SCALINGS)
+        crash = np.concatenate([np.full(2000, 1e6), np.geomspace(1e6, 1.0, 200), np.full(2300, 1.0)])
+        assert_matches_three_pass_form(crash, NEAR_TIE_SCALINGS)
+
+    def test_top_of_the_float_range(self):
+        # the blocked EMAs of closes at the largest float overflow; the loop's do not
+        top = np.finfo(float).max
+        rng = np.random.default_rng(5)
+        closes = np.concatenate([np.geomspace(1e300, 1e308, 300), np.full(300, top), top * (1.0 - 0.5 * rng.random(300))])
+        assert_matches_three_pass_form(closes, NEAR_TIE_SCALINGS)
+
+    def test_signal_period_one_ties_everywhere(self):
+        series = synth_gbm(100.0, 0.0, 0.02, 5000, seed=2)
+        sar = macd_sar(series, ScalingConfig(1 / 9))
+        # signal = 1.0 * line + 0.0 * signal: every defined bar ties and carries the first -1
+        assert sar.warmup == 3 and set(sar.values[3:].tolist()) == {-1}
