@@ -31,7 +31,7 @@ import numpy as np
 
 from . import stats as stats_mod
 from . import trend as trend_mod
-from .indicators import SIGNAL_RATIO, SLOW_RATIO, ScalingConfig, macd_sar
+from .indicators import ScalingConfig, macd_sar
 from .market_data import (
     TREND_MOVEMENT_REL,
     BarError,
@@ -101,12 +101,10 @@ class RunConfig:
         option = "--scalings" if self.command == "sweep" else "--scaling"
         seen = set()
         for s in self.scalings:
-            # the signal period 9 s is the shortest of the three MACD periods
-            if not (math.isfinite(s) and s > 0.0 and SIGNAL_RATIO * s >= 1.0):
-                raise ValueError(f"bad {option} value {s!r}: need a finite scaling >= 1/9 (signal period >= 1)")
-            # and the slow period 26 s the longest
-            if not math.isfinite(SLOW_RATIO * s):
-                raise ValueError(f"bad {option} value {s!r}: the slow period 26 * {s!r} overflows")
+            try:
+                ScalingConfig(s)
+            except ValueError as exc:
+                raise ValueError(f"bad {option} value {s!r}: {exc}") from None
             # a repeated scaling would pool its samples twice
             if s in seen:
                 raise ValueError(f"repeated {option} value {s!r}: each scaling may appear once")

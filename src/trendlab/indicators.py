@@ -2,12 +2,14 @@
 
 The MACD line is the fast EMA minus the slow EMA of the closes, and the signal
 line is the EMA of the MACD line; each EMA is seeded with its first input,
-e[0] = v[0], e[t] = alpha*v[t] + (1-alpha)*e[t-1]. A single positive scaling
-parameter s stretches the classic (12/26/9) MACD periods to (12s/26s/9s);
-non-integer periods are handled directly through the EMA smoothing factor
-alpha = 2/(period+1), no resampling. The SAR value is +1 while the MACD line
-is above its signal line, -1 while below, and carries the previous value on
-exact ties (first defined value defaults to -1 on a tie).
+e[0] = v[0], e[t] = alpha*v[t] + (1-alpha)*e[t-1]. A single scaling
+parameter s >= 1/9 stretches the classic (12/26/9) MACD periods to
+(12s/26s/9s); non-integer periods are handled directly through the EMA
+smoothing factor alpha = 2/(period+1), no resampling. The SAR is up while the MACD line is
+above its signal line, down while below, and carries the previous value on
+exact ties (the first defined bar defaults to down on a tie). ``macd_sar``
+returns it as a ``SarSeries``: the warm-up, then alternating up and down runs
+given by their first bars (heads), which is what the MinMax sweep reads.
 
 The SAR is bit-identical to a scalar loop over the bars that runs the three
 EMAs with the IEEE operations above. The three EMAs are computed in blocks of
@@ -32,10 +34,6 @@ FAST_RATIO = 12.0
 SLOW_RATIO = 26.0
 SIGNAL_RATIO = 9.0
 
-SAR_UP = 1
-SAR_DOWN = -1
-SAR_UNDEFINED = 0
-
 # bars per block of the blocked EMA
 BLOCK = 8
 # _LAG[k, j] = j - k on and above the diagonal and BLOCK + 1 below it, an
@@ -51,10 +49,12 @@ class ScalingConfig:
     scaling: float = 1.0
 
     def __post_init__(self):
-        if not (self.scaling > 0.0 and math.isfinite(self.scaling)):
-            raise ValueError("scaling must be a positive finite number")
+        # the signal period 9 s is the shortest of the three MACD periods
+        if not (math.isfinite(self.scaling) and self.signal >= 1.0):
+            raise ValueError("need a finite scaling >= 1/9 (signal period >= 1)")
+        # and the slow period 26 s the longest
         if not math.isfinite(self.slow):
-            raise ValueError("scaling too large: the slow period 26 * scaling overflows")
+            raise ValueError(f"the slow period 26 * {self.scaling!r} overflows")
 
     @property
     def fast(self) -> float:
@@ -76,29 +76,39 @@ class ScalingConfig:
 
 @dataclass(frozen=True)
 class SarSeries:
-    """Stop-and-reverse values aligned with a candle series.
+    """The SAR of an n-bar candle series as alternating runs.
 
-    values[i] is +1 (up move), -1 (down move), or 0 during the initial
-    warm-up prefix where the indicator is undefined.
+    Bars [0, warmup) are undefined. Run k covers bars heads[k] up to
+    heads[k + 1], the last one up to n; runs alternate up and down, the first
+    one up when first_up. ``heads`` is copied to a read-only int64 array and
+    the run invariants are checked here and nowhere else.
     """
 
-    values: np.ndarray
+    n: int
     warmup: int
+    heads: np.ndarray
+    first_up: bool
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int8)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if self.warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        if np.any(v[: self.warmup] != SAR_UNDEFINED):
-            raise ValueError("warm-up prefix must be undefined")
-        defined = v[self.warmup:]
-        if defined.size and np.any((defined != SAR_UP) & (defined != SAR_DOWN)):
-            raise ValueError("SAR values past warm-up must be +1 or -1")
+        heads = np.array(self.heads, dtype=np.int64)
+        heads.flags.writeable = False
+        object.__setattr__(self, "heads", heads)
+        if not 0 <= self.warmup <= self.n:
+            raise ValueError(f"warm-up {self.warmup} must lie in [0, {self.n}]")
+        if heads.ndim != 1:
+            raise ValueError("run heads must be one-dimensional")
+        if self.warmup == self.n:
+            if heads.size:
+                raise ValueError("a series without defined bars has no runs")
+        elif not heads.size or heads[0] != self.warmup:
+            raise ValueError(f"the first run must start at the warm-up bar {self.warmup}")
+        elif np.any(heads[1:] <= heads[:-1]):
+            raise ValueError("run heads must strictly increase")
+        elif heads[-1] >= self.n:
+            raise ValueError(f"the last run must start before bar {self.n}")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.n
 
 
 def _ema_blocks(a: np.ndarray, beta: float, y0: float) -> np.ndarray:
@@ -196,8 +206,8 @@ def _tie_bound(close: np.ndarray, alphas: tuple[float, float, float]) -> np.ndar
 def _scalar_sar(
     fast_x: np.ndarray, slow_x: np.ndarray, c0: float, signal_alpha: float, betas: tuple[float, float, float], warmup: int
 ) -> np.ndarray:
-    """The exact per-bar loop over bars [0, stop), stop = fast_x.size: the
-    SAR values of bars [warmup, stop).
+    """The exact per-bar loop over bars [0, stop), stop = fast_x.size: for
+    each bar of [warmup, stop), whether the SAR is up.
 
     Every EMA step is alpha*x, multiplied by numpy up front, plus beta*acc,
     the same IEEE operations as three separate EMA passes (fast, slow, then
@@ -232,7 +242,7 @@ def _scalar_sar(
             flips.append(i)
     flips.append(stop)
     runs = np.diff(flips)
-    return np.repeat(np.resize(np.array([SAR_DOWN, SAR_UP], dtype=np.int8), runs.size), runs)
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
 
 
 def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarSeries:
@@ -241,17 +251,14 @@ def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarS
     The three EMAs run in blocks (_ema_blocks). A bar whose blocked
     line - signal is larger than _tie_bound takes its sign; the scalar loop
     runs, exactly, over the bars up to the last one that is not certified, so
-    the values are bit-identical to the loop's over the whole series. An
+    the runs are bit-identical to the loop's over the whole series. An
     empty series gives an empty SarSeries.
     """
-    if cfg.signal < 1.0:  # the smallest of the three periods
-        raise ValueError("period must be >= 1")
     n = len(series)
     # cfg.warmup >= 1, so bar 0 (where both lines are 0.0) is always masked
     warmup = min(cfg.warmup, n)
-    values = np.zeros(n, dtype=np.int8)
     if warmup == n:
-        return SarSeries(values, warmup)
+        return SarSeries(n, warmup, (), False)
     close = series.close
     alphas = (2.0 / (cfg.fast + 1.0), 2.0 / (cfg.slow + 1.0), 2.0 / (cfg.signal + 1.0))
     fast_alpha, slow_alpha, signal_alpha = alphas
@@ -264,10 +271,12 @@ def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarS
     with np.errstate(over="ignore", invalid="ignore"):
         line = _ema_blocks(fast_x, betas[0], c0) - _ema_blocks(slow_x, betas[1], c0)
         diff = (line - _ema_blocks(signal_alpha * line, betas[2], 0.0))[warmup:]
-    values[warmup:] = np.where(diff > 0.0, SAR_UP, SAR_DOWN)
+    # up[i] for bar warmup + i
+    up = diff > 0.0
     # a NaN diff compares false, so it is never certified
     uncertain = np.flatnonzero(~(np.abs(diff) > _tie_bound(close, alphas)[warmup:]))
     if uncertain.size:
         stop = warmup + int(uncertain[-1]) + 1
-        values[warmup:stop] = _scalar_sar(fast_x[:stop], slow_x[:stop], c0, signal_alpha, betas, warmup)
-    return SarSeries(values, warmup)
+        up[: stop - warmup] = _scalar_sar(fast_x[:stop], slow_x[:stop], c0, signal_alpha, betas, warmup)
+    heads = np.flatnonzero(up[1:] != up[:-1]) + warmup + 1
+    return SarSeries(n, warmup, np.concatenate(([warmup], heads)), bool(up[0]))

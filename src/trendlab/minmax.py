@@ -13,8 +13,9 @@ Everything is causal: a point fixed at detection bar t depends only on candles
 with index <= t, so replaying any prefix reproduces all points already fixed
 within it, byte for byte.
 
-``run_minmax`` sweeps run by run, not bar by bar. A run is a stretch of bars
-with one SAR value, so a flip can end a search only at a run's head. One numpy
+``run_minmax`` sweeps run by run, not bar by bar. The runs come from the
+``SarSeries``: stretches of bars with one SAR value, alternating up and down
+and given by their heads, so a flip can end a search only at a head. One numpy
 pass finds every run's highest high and lowest low; a run whose extremes do
 not break the last fixed point holds no fix past its head, and only a run whose
 extremes do is stepped bar by bar. The candidate is not followed bar by bar
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .indicators import SAR_DOWN, SAR_UP, SarSeries
+from .indicators import SarSeries
 from .market_data import CandleSeries
 
 HIGH = "high"
@@ -149,49 +150,43 @@ def _first_extreme(column: np.ndarray, start: int, stop: int, highest: bool) -> 
 
 
 def run_minmax(series: CandleSeries, sar: SarSeries) -> MinMaxProcess:
-    """Sweep a candle series against its SAR values into a MinMax process.
+    """Sweep a candle series against its SAR runs into a MinMax process.
 
     The first search covers every bar up to and including the first defined
     SAR bar (warm-up bars feed the initial candidate but never fix points).
     After a point is fixed, the opposite search scans the bars strictly after
     the fixed extremum through the detection bar, then continues bar by bar.
 
-    Runs start at the warm-up bar and at every flip bar (their heads); see the
-    module docstring for the run-wise sweep.
+    Runs start at the warm-up bar and at every flip bar (``sar.heads``); see
+    the module docstring for the run-wise sweep.
     """
     n = len(series)
     if len(sar) != n:
         raise ValueError(f"SAR length {len(sar)} does not match series length {n}")
-    w = sar.warmup
-    if w >= n:
+    heads = sar.heads
+    if not heads.size:
         return MinMaxProcess()
 
     high = series.high
     low = series.low
-    v = sar.values
-    heads = np.concatenate(([w], np.flatnonzero(v[w + 1 :] != v[w:-1]) + w + 1))
     stops = np.append(heads[1:], n)
     run_high = np.maximum.reduceat(high, heads).tolist()
     run_low = np.minimum.reduceat(low, heads).tolist()
     head_high = high[heads].tolist()
     head_low = low[heads].tolist()
-    head_sar = v[heads].tolist()
 
     fixed: list[tuple[float, int, int]] = []  # (extreme price, extreme bar, detection bar)
-    searching_high = head_sar[0] == SAR_UP
-    first_high = searching_high
+    first_high = searching_high = sar.first_up
     start = 0  # the search spans [start .. current bar]
     # price of the last fixed point (opposite kind); NaN breaks nothing
     last_fixed = float("nan")
 
     for k, (h, stop) in enumerate(zip(heads.tolist(), stops.tolist())):
         if k:
-            # a flip fixes when the vanishing phase matches the search
-            if searching_high:
-                fix = head_sar[k] == SAR_DOWN or head_low[k] < last_fixed
-            else:
-                fix = head_sar[k] == SAR_UP or head_high[k] > last_fixed
-            if fix:
+            # a flip fixes when the vanishing phase matches the search, i.e.
+            # when run k, up when (k % 2 == 0) == first_high, goes against it
+            up = (k % 2 == 0) == first_high
+            if up != searching_high or (head_low[k] < last_fixed if searching_high else head_high[k] > last_fixed):
                 price, bar = _first_extreme(high if searching_high else low, start, h + 1, searching_high)
                 fixed.append((price, bar, h))
                 last_fixed, searching_high, start = price, not searching_high, bar + 1

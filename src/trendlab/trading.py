@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -137,18 +137,12 @@ def simulate_expected_return(
 
 
 @dataclass(frozen=True)
-class BacktestResult(Sequence):
+class BacktestResult:
     """Trade outcomes plus tallies for skipped legs and series-end truncation."""
 
     trades: tuple[TradeOutcome, ...]
     degenerate: int = 0
     truncated: int = 0
-
-    def __len__(self) -> int:
-        return len(self.trades)
-
-    def __getitem__(self, item):
-        return self.trades[item]
 
 
 def backtest_anticyclic(

@@ -11,7 +11,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from trendlab import MinMaxProcess
+from trendlab import MinMaxProcess, SarSeries
+
+
+def sar_values(sar: SarSeries) -> np.ndarray:
+    """The per-bar int8 form of a SAR: 0 over the warm-up, then +1 on up runs and -1 on down runs."""
+    values = np.zeros(len(sar), dtype=np.int8)
+    runs = np.diff(np.append(sar.heads, len(sar)))
+    up = (np.arange(runs.size) % 2 == 0) == sar.first_up
+    values[sar.warmup :] = np.repeat(np.where(up, 1, -1), runs)
+    return values
+
+
+def sar_from_values(values, warmup: int) -> SarSeries:
+    """The SarSeries of per-bar values (0 over the warm-up, then +1 or -1), checked to round-trip."""
+    values = np.asarray(values, dtype=np.int8)
+    defined = values[warmup:]
+    heads = warmup + np.flatnonzero(np.diff(defined, prepend=0))
+    sar = SarSeries(values.size, warmup, heads, bool(defined.size and defined[0] == 1))
+    assert sar_values(sar).tobytes() == values.tobytes(), "values are not 0 over the warm-up and +1 or -1 after it"
+    return sar
 
 
 def process(spec) -> MinMaxProcess:

@@ -152,7 +152,7 @@ def test_gapped_cases_reach_every_rule():
         for scaling in (1 / 9, 0.5):
             for directions in DIRECTION_SETS:
                 result = assert_matches_reference(series, scaling, spec, directions)
-                seen["trades"] += len(result)
+                seen["trades"] += len(result.trades)
                 seen["degenerate"] += result.degenerate
                 seen["truncated"] += result.truncated
             mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendlab import CandleSeries, ScalingConfig, macd_sar, synth_gbm
+from trendlab import CandleSeries, SarSeries, ScalingConfig, macd_sar, synth_gbm
+from trendlab import indicators
 from trendlab.market_data import synth_trend_series
-from swing_fixtures import reference_flip_bars
+from swing_fixtures import reference_flip_bars, sar_values
 
 
 # The separate EMA and MACD passes: macd_sar's bitwise oracle.
@@ -86,10 +87,46 @@ class TestScalingConfig:
         with pytest.raises(ValueError):
             ScalingConfig(0.0)
 
+    @pytest.mark.parametrize("scaling", [-1.0, 0.111, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_or_sub_unit_signal_period(self, scaling):
+        with pytest.raises(ValueError, match=r"^need a finite scaling >= 1/9 \(signal period >= 1\)$"):
+            ScalingConfig(scaling)
+
     def test_rejects_overflowing_slow_period(self):
-        with pytest.raises(ValueError, match="slow period"):
+        with pytest.raises(ValueError, match=r"the slow period 26 \* 1e\+307 overflows"):
             ScalingConfig(1e307)
         assert ScalingConfig(6e306).warmup == math.ceil(26.0 * 6e306)
+
+
+# (n, warmup, heads, the rule that refuses them)
+BAD_SAR_RUNS = {
+    "negative warm-up": (5, -1, [], r"warm-up -1 must lie in \[0, 5\]"),
+    "warm-up past the end": (5, 6, [], r"warm-up 6 must lie in \[0, 5\]"),
+    "two-dimensional heads": (5, 0, [[0, 2]], "run heads must be one-dimensional"),
+    "runs without defined bars": (5, 5, [4], "a series without defined bars has no runs"),
+    "no runs after the warm-up": (5, 2, [], "the first run must start at the warm-up bar 2"),
+    "first run after the warm-up": (5, 2, [3, 4], "the first run must start at the warm-up bar 2"),
+    "first run inside the warm-up": (5, 2, [1, 3], "the first run must start at the warm-up bar 2"),
+    "repeated head": (5, 0, [0, 2, 2], "run heads must strictly increase"),
+    "heads out of order": (5, 0, [0, 3, 2], "run heads must strictly increase"),
+    "last run past the end": (5, 0, [0, 5], "the last run must start before bar 5"),
+}
+
+
+class TestSarSeries:
+    @pytest.mark.parametrize("case", list(BAD_SAR_RUNS))
+    def test_each_rule_refuses_its_case(self, case):
+        n, warmup, heads, message = BAD_SAR_RUNS[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SarSeries(n, warmup, heads, True)
+
+    def test_heads_are_a_read_only_copy(self):
+        heads = np.array([1, 3])
+        sar = SarSeries(5, 1, heads, False)
+        heads[1] = 2
+        assert len(sar) == 5 and sar.heads.tolist() == [1, 3]
+        assert sar.heads.dtype == np.int64 and not sar.heads.flags.writeable
+        assert sar_values(sar).tolist() == [0, -1, -1, 1, 1]
 
 
 class TestMacd:
@@ -118,40 +155,39 @@ class TestMacdSar:
         s = CandleSeries.from_closes("flat", np.full(60, 42.0))
         sar = macd_sar(s)
         assert sar.warmup == 26
-        assert np.all(sar.values[:26] == 0)
-        assert np.all(sar.values[26:] == -1)
+        assert np.all(sar_values(sar)[:26] == 0)
+        assert np.all(sar_values(sar)[26:] == -1)
 
     def test_rising_ramp_is_up_everywhere(self):
         closes = 100.0 + np.arange(300.0)
         sar = macd_sar(CandleSeries.from_closes("ramp", closes))
-        assert np.all(sar.values[sar.warmup:] == 1)
+        assert np.all(sar_values(sar)[sar.warmup:] == 1)
         # independent recurrence evaluation agrees: no sign changes at all
         assert reference_flip_bars(closes, 1.0) == []
 
     def test_ramp_up_then_down_single_flip(self):
         closes = np.concatenate([100.0 + np.arange(200.0), 300.0 - np.arange(1.0, 101.0)])
         sar = macd_sar(CandleSeries.from_closes("turn", closes))
-        defined = sar.values[sar.warmup:]
-        changes = np.flatnonzero(np.diff(defined) != 0)
-        assert len(changes) == 1
         flips = reference_flip_bars(closes, 1.0)
         assert len(flips) == 1
-        assert flips[0][0] == sar.warmup + changes[0] + 1
+        # an up run from the warm-up bar, then one down run from the flip
+        assert sar.first_up and sar.heads.tolist() == [sar.warmup, flips[0][0]]
         assert flips[0][1] == -1
 
     def test_short_series_fully_undefined(self):
         s = CandleSeries.from_closes("short", np.full(10, 5.0))
         sar = macd_sar(s)
-        assert np.all(sar.values == 0)
+        assert sar.warmup == len(sar) == 10 and sar.heads.size == 0
 
     @given(st.integers(min_value=0, max_value=30), st.sampled_from([1.0, 1.2, 1.5, 2.0]))
     def test_only_plus_minus_one_after_warmup(self, seed, scaling):
         s = synth_gbm(100.0, 0.0, 0.02, 400, seed=seed)
         sar = macd_sar(s, ScalingConfig(scaling))
         assert sar.warmup == math.ceil(26.0 * scaling)
-        defined = sar.values[sar.warmup:]
+        values = sar_values(sar)
+        defined = values[sar.warmup:]
         assert np.all((defined == 1) | (defined == -1))
-        assert np.all(sar.values[: sar.warmup] == 0)
+        assert np.all(values[: sar.warmup] == 0)
 
 
 def reference_sar_values(series, cfg):
@@ -194,19 +230,19 @@ class TestFusedMacdSar:
         cfg = ScalingConfig(scaling)
         sar = macd_sar(series, cfg)
         assert sar.warmup == min(cfg.warmup, len(closes))
-        assert sar.values.dtype == np.int8
-        assert sar.values.tobytes() == reference_sar_values(series, cfg).tobytes()
+        assert sar.heads.dtype == np.int64 and not sar.heads.flags.writeable
+        assert sar_values(sar).tobytes() == reference_sar_values(series, cfg).tobytes()
 
     @pytest.mark.parametrize("scaling", [0.5, 1.0, 1.7, 4.3])
     def test_bit_identical_on_gbm(self, scaling):
         series = synth_gbm(100.0, 0.0, 0.02, 3000, seed=11)
         cfg = ScalingConfig(scaling)
-        assert macd_sar(series, cfg).values.tobytes() == reference_sar_values(series, cfg).tobytes()
+        assert sar_values(macd_sar(series, cfg)).tobytes() == reference_sar_values(series, cfg).tobytes()
 
     def test_flat_then_step_carries_ties(self):
         closes = [5.0] * 40 + [6.0] * 40 + [6.0] * 40
         series = CandleSeries.from_closes("step", closes)
-        values = macd_sar(series).values
+        values = sar_values(macd_sar(series))
         assert values.tobytes() == reference_sar_values(series, ScalingConfig()).tobytes()
         assert set(values[26:40].tolist()) == {-1} and values[40] == 1
 
@@ -215,15 +251,36 @@ class TestFusedMacdSar:
         assert len(sar) == 0 and sar.warmup == 0
 
     def test_sub_unit_signal_period_rejected(self):
-        with pytest.raises(ValueError, match="period must be >= 1"):
-            macd_sar(CandleSeries.from_closes("c", [1.0, 2.0]), ScalingConfig(0.1))
+        # the scaling itself is refused, before any series is read
+        with pytest.raises(ValueError, match=r"signal period >= 1"):
+            ScalingConfig(0.1)
+        # 9 * (1/9) == 1.0: the signal period is exactly 1
+        assert ScalingConfig(1 / 9).signal == 1.0
+
+    def test_first_defined_bar_up_inside_the_scalar_prefix(self, monkeypatch):
+        # bar 26 is up and the flat tail ties to the last bar, so the scalar
+        # loop covers every bar and its first (down) run is empty
+        closes = np.concatenate([1.0 + np.arange(40.0), np.full(3000, 40.0)])
+        series = CandleSeries.from_closes("rise_then_flat", closes)
+        stops = []
+        scalar_sar = indicators._scalar_sar
+
+        def recording_scalar_sar(fast_x, *rest):
+            stops.append(fast_x.size)
+            return scalar_sar(fast_x, *rest)
+
+        monkeypatch.setattr(indicators, "_scalar_sar", recording_scalar_sar)
+        sar = macd_sar(series, ScalingConfig(1.0))
+        assert stops == [len(series)]
+        assert sar.first_up and sar.heads[0] == sar.warmup == 26
+        assert sar_values(sar).tobytes() == reference_sar_values(series, ScalingConfig(1.0)).tobytes()
 
 
 def assert_matches_three_pass_form(closes, scalings):
     series = CandleSeries.from_closes("c", closes)
     for scaling in scalings:
         cfg = ScalingConfig(scaling)
-        assert macd_sar(series, cfg).values.tobytes() == reference_sar_values(series, cfg).tobytes(), scaling
+        assert sar_values(macd_sar(series, cfg)).tobytes() == reference_sar_values(series, cfg).tobytes(), scaling
 
 
 # signal period 1 (every defined bar an exact tie), the workloads' range, and
@@ -269,4 +326,4 @@ class TestNearTies:
         series = synth_gbm(100.0, 0.0, 0.02, 5000, seed=2)
         sar = macd_sar(series, ScalingConfig(1 / 9))
         # signal = 1.0 * line + 0.0 * signal: every defined bar ties and carries the first -1
-        assert sar.warmup == 3 and set(sar.values[3:].tolist()) == {-1}
+        assert sar.warmup == 3 and sar.heads.tolist() == [3] and not sar.first_up

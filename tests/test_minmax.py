@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import (
     CandleSeries,
-    SarSeries,
     ScalingConfig,
     macd_sar,
     run_minmax,
@@ -82,7 +81,7 @@ class TestSarDriven:
         closes = np.array([100.0, 99.0, 98.0, 97.0, 101.0, 104.0, 103.0, 102.0, 96.0, 95.0, 94.0, 93.0])
         series = CandleSeries.from_closes("dive", closes)
         values = np.array([-1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1], dtype=np.int8)
-        mm = run_minmax(series, SarSeries(values, warmup=0))
+        mm = run_minmax(series, fx.sar_from_values(values, 0))
         assert [(p.kind, p.price, p.bar, p.detection_bar) for p in mm.points[:2]] == [
             ("low", 97.0, 3, 4),
             ("high", 104.0, 5, 8),
@@ -95,7 +94,7 @@ class TestSarDriven:
         closes = np.array([100.0, 99.0, 98.0, 97.0, 101.0, 104.0, 103.0, 102.0, 96.0, 95.0, 94.0, 93.0])
         series = CandleSeries.from_closes("dive", closes)
         values = np.array([-1, -1, -1, -1, 1, 1, 1, 1, 1, -1, -1, -1], dtype=np.int8)
-        mm = run_minmax(series, SarSeries(values, warmup=0))
+        mm = run_minmax(series, fx.sar_from_values(values, 0))
         # the flip at bar 9 arrives with the low search already open: no new point
         assert [(p.kind, p.bar) for p in mm.points] == [("low", 3), ("high", 5)]
 

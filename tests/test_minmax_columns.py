@@ -15,8 +15,8 @@ from trendlab import (
     run_minmax,
     synth_gbm,
 )
-from trendlab.indicators import SAR_DOWN, SAR_UP
 from trendlab.minmax import COLUMNS
+from swing_fixtures import sar_from_values, sar_values
 
 
 def naive_minmax(series, sar):
@@ -31,15 +31,15 @@ def naive_minmax(series, sar):
     open candidate as (kind, price, bar) or None.
     """
     highs, lows, closes = series.high.tolist(), series.low.tolist(), series.close.tolist()
-    s = sar.values.tolist()
+    s = sar_values(sar).tolist()  # +1 up, -1 down
     n, w = len(series), sar.warmup
     if w >= n:
         return [], None
-    searching_high = s[w] == SAR_UP
+    searching_high = s[w] == 1
     start = 0
     points = []
     for i in range(w + 1, n):
-        flip_ends_search = s[i] != s[i - 1] and s[i] == (SAR_DOWN if searching_high else SAR_UP)
+        flip_ends_search = s[i] != s[i - 1] and s[i] == (-1 if searching_high else 1)
         breaks_last = bool(points) and (lows[i] < points[-1][1] if searching_high else highs[i] > points[-1][1])
         if flip_ends_search or breaks_last:
             span = highs[start : i + 1] if searching_high else lows[start : i + 1]
@@ -78,12 +78,14 @@ tied_closes = st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0]), min_si
 
 @st.composite
 def tied_market(draw):
-    """Degenerate bars with many ties plus an arbitrary SAR after a warm-up."""
+    """Degenerate bars with many ties plus an arbitrary SAR after a warm-up:
+    each bar after the first defined one flips the SAR or not."""
     closes = draw(tied_closes)
     n = len(closes)
     warmup = draw(st.integers(min_value=0, max_value=n))
-    signs = draw(st.lists(st.sampled_from([SAR_DOWN, SAR_UP]), min_size=n - warmup, max_size=n - warmup))
-    sar = SarSeries(np.array([0] * warmup + signs, dtype=np.int8), warmup=warmup)
+    flips = draw(st.lists(st.booleans(), min_size=max(n - warmup - 1, 0), max_size=max(n - warmup - 1, 0)))
+    heads = warmup + np.flatnonzero([True, *flips]) if warmup < n else []
+    sar = SarSeries(n, warmup, heads, draw(st.booleans()))
     return CandleSeries.from_closes("tied", closes), sar
 
 
@@ -105,16 +107,15 @@ def wick_market(draw):
     lows = np.minimum(opens, closes) - rng.choice(wicks, n)
     warmup = draw(st.integers(min_value=0, max_value=n))
     runs = rng.integers(1, 13, n)
-    first = draw(st.sampled_from([SAR_DOWN, SAR_UP]))
-    signs = np.repeat(first * (-1) ** np.arange(n), runs)[: n - warmup]
-    sar = SarSeries(np.concatenate((np.zeros(warmup), signs)).astype(np.int8), warmup=warmup)
+    heads = warmup + np.cumsum(runs) - runs
+    sar = SarSeries(n, warmup, heads[heads < n], draw(st.booleans()))
     return CandleSeries("wicks", tuple(range(n)), opens, highs, lows, closes), sar
 
 
 def mirrored(series, sar):
-    """The market reflected about 400 (prices p -> 800 - p, SAR negated): highs and lows swap roles."""
+    """The market reflected about 400 (prices p -> 800 - p, SAR runs flipped): highs and lows swap roles."""
     o, h, l, c = (800.0 - column for column in (series.open, series.high, series.low, series.close))
-    return CandleSeries(series.symbol, series.timestamps, o, l, h, c), SarSeries(-sar.values, warmup=sar.warmup)
+    return CandleSeries(series.symbol, series.timestamps, o, l, h, c), dataclasses.replace(sar, first_up=not sar.first_up)
 
 
 def wide_bar_market():
@@ -138,7 +139,7 @@ def wide_bar_market():
         (10.3, 15.0, 10.2, 14.5),
     ]
     series = CandleSeries("wide", tuple(range(len(bars))), *map(np.array, zip(*bars)))
-    sar = SarSeries(np.array([-1, -1, 1, 1, -1, -1, 1, 1, 1, -1], dtype=np.int8), warmup=0)
+    sar = sar_from_values([-1, -1, 1, 1, -1, -1, 1, 1, 1, -1], 0)
     return series, sar
 
 
@@ -175,14 +176,14 @@ class TestNaiveOracle:
 
     def test_flip_on_the_last_bar(self):
         series, sar = wide_bar_market()
-        mm = assert_matches_naive(series[:5], SarSeries(sar.values[:5], warmup=0))
+        mm = assert_matches_naive(series[:5], sar_from_values(sar_values(sar)[:5], 0))
         assert mm.detection_bar.tolist() == [2, 4] and mm.bar.tolist() == [1, 3]
         assert mm.open_candidate == OpenCandidate("low", 11.0, 4)
 
     def test_one_bar_runs(self):
         # the SAR flips on every bar: each run is its head alone, and each flip ends the search
         series, _ = wide_bar_market()
-        sar = SarSeries(np.resize(np.array([SAR_UP, SAR_DOWN], dtype=np.int8), len(series)), warmup=0)
+        sar = SarSeries(len(series), 0, np.arange(len(series)), True)
         mm = assert_matches_naive(series, sar)
         assert len(mm) == len(series) - 1
 
@@ -190,8 +191,8 @@ class TestNaiveOracle:
     def test_warmup_at_the_last_bar_or_past_it(self, short):
         series, sar = wide_bar_market()
         warmup = len(series) - short
-        values = np.concatenate((np.zeros(warmup, dtype=np.int8), sar.values[warmup:]))
-        mm = assert_matches_naive(series, SarSeries(values, warmup=warmup))
+        values = np.concatenate((np.zeros(warmup, dtype=np.int8), sar_values(sar)[warmup:]))
+        mm = assert_matches_naive(series, sar_from_values(values, warmup))
         assert len(mm) == 0
         # the first search is a low search (SAR down at the last bar) over every bar, or nothing
         assert mm.open_candidate == (OpenCandidate("low", 8.0, 1) if short else None)
@@ -199,7 +200,7 @@ class TestNaiveOracle:
     def test_first_equal_extreme_wins(self):
         # highs 7 at bars 2 and 4, lows 3 at bars 6 and 8: the earlier bar is the extremum
         closes = np.array([5.0, 6.0, 7.0, 6.0, 7.0, 4.0, 3.0, 4.0, 3.0, 5.0, 8.0])
-        sar = SarSeries(np.array([1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int8), warmup=0)
+        sar = sar_from_values([1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1], 0)
         mm = assert_matches_naive(CandleSeries.from_closes("ties", closes), sar)
         assert mm.bar.tolist() == [2, 6]
 
@@ -209,7 +210,7 @@ class TestNaiveOracle:
         series, sar = market
         cut = data.draw(st.integers(min_value=0, max_value=len(series)))
         full = run_minmax(series, sar)
-        prefix = run_minmax(series[:cut], SarSeries(sar.values[:cut], warmup=min(sar.warmup, cut)))
+        prefix = run_minmax(series[:cut], sar_from_values(sar_values(sar)[:cut], min(sar.warmup, cut)))
         assert columns_of(prefix) == [row for row in columns_of(full) if row[3] < cut]
 
 

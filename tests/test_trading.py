@@ -128,8 +128,8 @@ class TestBacktest:
     def test_shelf_fixture_partial_exit(self):
         series = CandleSeries.from_closes("shelf", fx.shelf_path())
         result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0))
-        assert len(result) == 2
-        first, second = result
+        assert len(result.trades) == 2
+        first, second = result.trades
         # correction 120 -> 112 (x = 0.4): exits at the detected end, close 120
         assert first.x == 0.4
         assert first.ret == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0  # -0.3
@@ -143,21 +143,21 @@ class TestBacktest:
 
     def test_multi_swing_fixture_trades(self):
         series = CandleSeries.from_closes("multi", fx.multi_swing_path())
-        result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0))
-        assert [t.x for t in result] == [
+        trades = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades
+        assert [t.x for t in trades] == [
             (120.0 - 112.0) / 20.0,
             (134.0 - 122.0) / 22.0,
             (146.0 - 116.0) / 24.0,
         ]
-        assert result[0].ret == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0
-        assert result[1].ret == ((134.0 - 0.3 * 22.0) - 130.0) / 22.0
+        assert trades[0].ret == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0
+        assert trades[1].ret == ((134.0 - 0.3 * 22.0) - 130.0) / 22.0
         # the trend-breaking correction runs through the target: ret = t - a
-        assert result[2].reached_target
-        assert result[2].ret == pytest.approx(0.7)
+        assert trades[2].reached_target
+        assert trades[2].ret == pytest.approx(0.7)
 
     def test_lemma_identity_on_non_target_trades(self):
         series = CandleSeries.from_closes("multi", fx.multi_swing_path())
-        for trade in backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)):
+        for trade in backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades:
             if not trade.reached_target:
                 assert trade.ret == pytest.approx(trade.x - 0.3 - trade.d, abs=1e-12)
 
@@ -165,15 +165,15 @@ class TestBacktest:
         series = CandleSeries.from_closes("shelf", fx.shelf_path())
         result = backtest_anticyclic(series, 1.0, TradeSpec(0.45, 1.0))
         # only the x = 0.5 correction reaches the 0.45 level
-        assert [t.x for t in result] == [0.5]
+        assert [t.x for t in result.trades] == [0.5]
 
     def test_down_trends_need_flag(self):
         series = CandleSeries.from_closes("mirror", fx.mirror_swing_path())
-        assert len(backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0))) == 0
+        assert len(backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades) == 0
         result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0), directions=(UP, DOWN))
-        assert [t.direction for t in result] == ["down", "down"]
+        assert [t.direction for t in result.trades] == ["down", "down"]
         # mirrored exits: ret = x - a - d off the detection close
-        first, second = result
+        first, second = result.trades
         assert first.ret == (170.0 - (166.0 + 0.3 * 22.0)) / 22.0
         assert second.reached_target and second.ret == pytest.approx(0.7)
 
@@ -194,7 +194,7 @@ class TestBacktest:
         rets, pairs = [], []
         for seed in range(8):
             series, _ = synth_trend_series(swings=80, seed=seed)
-            rets.extend(t.ret for t in backtest_anticyclic(series, 1.0, spec))
+            rets.extend(t.ret for t in backtest_anticyclic(series, 1.0, spec).trades)
             mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
             batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
             pairs.extend(batch.linked_pairs("retracement", "delay_x", "up"))
