@@ -393,9 +393,7 @@ def cmd_stats(cfg: RunConfig) -> int:
             for var_a, var_b in LINKED_PAIRS:
                 if var_a not in cfg.variables or var_b not in cfg.variables:
                     continue
-                pairs = []
-                for b in scale_batches:
-                    pairs.extend(b.linked_pairs(var_a, var_b, direction))
+                pairs = np.concatenate([b.linked_pairs(var_a, var_b, direction) for b in scale_batches])
                 if len(pairs) < 2:
                     continue
                 try:

@@ -74,7 +74,7 @@ class ScalingConfig:
         return int(math.ceil(self.slow))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SarSeries:
     """The SAR of an n-bar candle series as alternating runs.
 

@@ -167,6 +167,7 @@ def backtest_anticyclic(
     sar = macd_sar(series, ScalingConfig(scaling))
     mm = run_minmax(series, sar)
     phases = [ph for ph in trend_mod.detect_trends(mm) if ph.direction in directions]
+    phase, start, is_correction, size, previous = trend_mod.legs(mm, phases)
     price = mm.price.tolist()
     bar = mm.bar.tolist()
     detection_bar = mm.detection_bar.tolist()
@@ -175,18 +176,13 @@ def backtest_anticyclic(
     lows = series.low
     highs = series.high
 
+    # correction legs from point a to b = a + 1, after the movement ending at a
+    corrections = is_correction & (start > 0)
+    degenerate = corrections & ((previous <= 0.0) | (size <= 0.0))
+    tradable = np.flatnonzero(corrections & ~degenerate)
     trades: list[TradeOutcome] = []
-    degenerate = 0
-    truncated = 0
-    leg = None
-    for leg in trend_mod.legs(mm, phases):
-        # correction leg from point a to b = a + 1, after the movement ending at a
-        ph, a, is_correction, corr, movement = leg
-        if not is_correction or a == 0:
-            continue
-        if movement <= 0.0 or corr <= 0.0:
-            degenerate += 1
-            continue
+    for p, a, movement, corr in zip(*(column[tradable].tolist() for column in (phase, start, previous, size))):
+        ph = phases[p]
         up = ph.direction == trend_mod.UP
         a_price = price[a]
         x = corr / movement
@@ -210,15 +206,15 @@ def backtest_anticyclic(
 
     # an entry hit inside the still-open final correction has no resolvable
     # exit: the open phase's last leg was a movement into the final point k
-    if leg is not None and mm.open_candidate is not None:
-        ph, a, is_correction, movement, _ = leg
-        k = a + 1
-        if ph.violation_point_index is None and k == len(price) - 1 and not is_correction and movement > 0.0:
+    truncated = 0
+    if start.size and mm.open_candidate is not None:
+        ph, k, movement = phases[phase[-1]], int(start[-1]) + 1, float(size[-1])
+        if ph.violation_point_index is None and k == len(price) - 1 and not is_correction[-1] and movement > 0.0:
             up = ph.direction == trend_mod.UP
             entry_price = price[k] - spec.entry * movement if up else price[k] + spec.entry * movement
             if _first_touch(lows if up else highs, bar[k] + 1, len(series) - 1, entry_price, up) is not None:
-                truncated += 1
-    return BacktestResult(tuple(trades), degenerate=degenerate, truncated=truncated)
+                truncated = 1
+    return BacktestResult(tuple(trades), degenerate=int(np.count_nonzero(degenerate)), truncated=truncated)
 
 
 def _first_touch(prices, start: int, stop: int, level: float, downward: bool) -> Optional[int]:

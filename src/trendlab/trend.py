@@ -13,31 +13,35 @@ Down-trends mirror everything. Phases never overlap: when a new trend's
 establishing quadruple reaches back into the previous phase, its start is
 trimmed to the point after that phase's end point.
 
-``period_gaps`` lists the bar gaps between same-kind points inside phases; a
-trend period is their mean over whatever pool the caller chooses (``sweep``
-pools every file of one scaling).
+``legs`` is the one place leg geometry is derived: one numpy expansion of
+each phase's point range gives the completed legs as columns (phase, start
+point, movement/correction test, signed size, previous leg's size).
+``period_gaps`` reads the same expansion to list the bar gaps between
+same-kind points inside phases; a trend period is their mean over whatever
+pool the caller chooses (``sweep`` pools every file of one scaling).
 
-``legs`` walks the completed legs of the phases and is the one place leg
-geometry is derived: each phase's leg range, the movement/correction test and
-the signed leg sizes. Per completed leg the observable variables are emitted,
-all strictly positive ratios except the integer bar-count duration:
+``extract_samples`` is a table of seven (variable, value column, emitted
+mask) rows over the leg columns. Per completed leg it emits, in this order,
+the observable variables, all strictly positive ratios except the integer
+bar-count duration:
 
   movement leg    rel_movement = size / start price, delay_m = d_abs / start price
-  correction leg  rel_correction = size / start price, delay_c = d_abs / start price,
+  correction leg  rel_correction = size / start price,
+                  duration = end bar - start bar,
+                  delay_c = d_abs / start price,
                   retracement = size / previous movement size,
-                  delay_x = d_abs / previous movement size,
-                  duration = end bar - start bar
+                  delay_x = d_abs / previous movement size
 
 A leg whose completing point also terminates the phase still counts: the leg
 itself completed, the trend merely ended because of its size. Degenerate legs
-(non-positive sizes, missing previous movement) and zero delays are skipped
+(non-positive sizes, missing previous movement) and zero delays are masked out
 and tallied instead of emitted.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,14 +90,14 @@ class TrendSample:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleBatch(Sequence):
+class SampleBatch:
     """Extracted samples as columns, one row per sample in emission order.
 
     ``variable`` and ``direction`` hold int8 codes into VARIABLES and
     DIRECTIONS; ``event`` numbers the leg a sample came from and, within one
-    variable, is unique and increasing. The columns are made read-only. Indexing and iteration build
-    TrendSample rows on demand. ``degenerate`` and ``zero_delay`` tally the
-    skipped degenerate legs and zero delays.
+    variable, is unique and increasing. The columns are made read-only.
+    Iteration builds TrendSample rows on demand. ``degenerate`` and
+    ``zero_delay`` tally the skipped degenerate legs and zero delays.
     """
 
     event: np.ndarray
@@ -112,19 +116,6 @@ class SampleBatch(Sequence):
     def __len__(self) -> int:
         return len(self.value)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return tuple(self)[item]
-        i = range(len(self))[item]
-        return TrendSample(
-            VARIABLES[self.variable[i]],
-            float(self.value[i]),
-            DIRECTIONS[self.direction[i]],
-            self.scaling,
-            self.symbol,
-            int(self.event[i]),
-        )
-
     def __iter__(self):
         symbol, scaling = self.symbol, self.scaling
         columns = (self.variable.tolist(), self.value.tolist(), self.direction.tolist(), self.event.tolist())
@@ -140,15 +131,15 @@ class SampleBatch(Sequence):
     def values(self, variable: str, direction: str | None = None) -> np.ndarray:
         return self.value[self._select(variable, direction)]
 
-    def linked_pairs(self, var_a: str, var_b: str, direction: str | None = None) -> list[tuple[float, float]]:
-        """Value pairs of two variables sharing a leg event, for joint fits, in var_b order."""
+    def linked_pairs(self, var_a: str, var_b: str, direction: str | None = None) -> np.ndarray:
+        """(n, 2) value pairs of two variables sharing a leg event, for joint fits, in var_b order."""
         mask_a = self._select(var_a, direction)
         mask_b = self._select(var_b, direction)
         event_a, event_b = self.event[mask_a], self.event[mask_b]
         at = np.searchsorted(event_a, event_b)
         found = at < len(event_a)
         found[found] = event_a[at[found]] == event_b[found]
-        return list(zip(self.value[mask_a][at[found]].tolist(), self.value[mask_b][found].tolist()))
+        return np.column_stack((self.value[mask_a][at[found]], self.value[mask_b][found]))
 
 
 def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
@@ -207,23 +198,34 @@ def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
     return phases
 
 
-def legs(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> Iterator[tuple[TrendPhase, int, bool, float, float]]:
-    """Yield ``(phase, a, is_correction, size, previous)`` per completed leg a -> a + 1.
+def _ranges(starts: Sequence[int], stops: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, i)`` for every i in range(starts[k], stops[k]), k in order, as two int64 columns."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
+    k = np.repeat(np.arange(counts.size), counts)
+    # position in the expansion minus the position of the range's first row
+    return k, np.arange(k.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
-    A phase's legs run from its start point to its violation point, or to its
-    end point while it is open. A correction starts at a high in an up-trend
-    (a low in a down-trend). ``size`` is ``b - a`` into a high and ``a - b``
-    into a low (IEEE negation is exact, so bit for bit); ``previous`` is the
-    size of the leg ending at ``a``, NaN when ``a == 0``.
+
+def legs(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> tuple[np.ndarray, ...]:
+    """Leg columns ``(phase, a, is_correction, size, previous)``, one row per completed leg a -> a + 1.
+
+    ``phase`` indexes ``phases``. A phase's legs run from its start point to
+    its violation point, or to its end point while it is open. A correction
+    starts at a high in an up-trend (a low in a down-trend). ``size`` is
+    ``b - a`` into a high and ``a - b`` into a low (IEEE negation is exact,
+    so bit for bit); ``previous`` is the size of the leg ending at ``a``,
+    NaN when ``a == 0``.
     """
-    high = mm.high.tolist()
+    phase, a = _ranges(
+        [ph.start_point_index for ph in phases],
+        [ph.end_point_index if ph.violation_point_index is None else ph.violation_point_index for ph in phases],
+    )
+    up = np.array([ph.direction == UP for ph in phases], dtype=bool)
     diff = np.diff(mm.price)
-    size = np.where(mm.high[1:], diff, -diff).tolist()
-    for ph in phases:
-        up = ph.direction == UP
-        last = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
-        for a in range(ph.start_point_index, last):
-            yield ph, a, high[a] == up, size[a], size[a - 1] if a else math.nan
+    # the size of leg j -> j + 1 at j + 1, NaN at 0
+    sizes = np.concatenate(([math.nan], np.where(mm.high[1:], diff, -diff)))
+    return phase, a, mm.high[a] == up[phase], sizes[a + 1], sizes[a]
 
 
 def extract_samples(
@@ -233,68 +235,44 @@ def extract_samples(
     scaling: float = float("nan"),
 ) -> SampleBatch:
     """Emit per-leg trend variables for every completed leg inside a phase."""
-    price = mm.price.tolist()
-    bar = mm.bar.tolist()
-    d_abs = mm.d_abs.tolist()
-    events: list[int] = []
-    variables: list[int] = []
-    directions: list[int] = []
-    values: list[float] = []
-    degenerate = 0
-    zero_delay = 0
-
-    def emit(variable: int, value: float):
-        events.append(event)
-        variables.append(variable)
-        directions.append(direction)
-        values.append(value)
-
-    for event, (ph, a, is_correction, size, previous) in enumerate(legs(mm, phases), 1):
-        if size <= 0.0:
-            degenerate += 1
-            continue
-        direction = _DIRECTION_CODE[ph.direction]
-        a_price, b_delay = price[a], d_abs[a + 1]
-        if not is_correction:
-            emit(_REL_MOVEMENT, size / a_price)
-            if b_delay > 0.0:
-                emit(_DELAY_M, b_delay / a_price)
-            else:
-                zero_delay += 1
-            continue
-        emit(_REL_CORRECTION, size / a_price)
-        emit(_DURATION, float(bar[a + 1] - bar[a]))
-        if b_delay > 0.0:
-            emit(_DELAY_C, b_delay / a_price)
-        else:
-            zero_delay += 1
-        # a NaN previous (the phase starts at point 0) fails the test too
-        if previous > 0.0:
-            emit(_RETRACEMENT, size / previous)
-            if b_delay > 0.0:
-                emit(_DELAY_X, b_delay / previous)
-        else:
-            degenerate += 1
+    phase, a, is_correction, size, previous = legs(mm, phases)
+    a_price, delay = mm.price[a], mm.d_abs[a + 1]
+    completed = size > 0.0
+    movement = completed & ~is_correction
+    correction = completed & is_correction
+    # a NaN previous (the phase starts at point 0) fails the test too
+    linked = correction & (previous > 0.0)
+    delayed = delay > 0.0
+    # one row per variable, in emission order within a leg; the ratios to the
+    # previous size divide only where linked, so never by a zero previous
+    table = (
+        (_REL_MOVEMENT, size / a_price, movement),
+        (_DELAY_M, delay / a_price, movement & delayed),
+        (_REL_CORRECTION, size / a_price, correction),
+        (_DURATION, (mm.bar[a + 1] - mm.bar[a]).astype(float), correction),
+        (_DELAY_C, delay / a_price, correction & delayed),
+        (_RETRACEMENT, np.divide(size, previous, out=np.zeros_like(size), where=linked), linked),
+        (_DELAY_X, np.divide(delay, previous, out=np.zeros_like(delay), where=linked), linked & delayed),
+    )
+    emitted = np.column_stack([mask for _, _, mask in table])
+    leg, column = np.nonzero(emitted)
+    direction = np.array([_DIRECTION_CODE[ph.direction] for ph in phases], dtype=np.int8)
     return SampleBatch(
-        event=np.array(events, dtype=np.int64),
-        variable=np.array(variables, dtype=np.int8),
-        direction=np.array(directions, dtype=np.int8),
-        value=np.array(values, dtype=float),
+        event=leg + 1,
+        variable=np.array([code for code, _, _ in table], dtype=np.int8)[column],
+        direction=direction[phase[leg]],
+        value=np.column_stack([value for _, value, _ in table])[emitted],
         symbol=series.symbol,
         scaling=scaling,
-        degenerate=degenerate,
-        zero_delay=zero_delay,
+        degenerate=int(np.count_nonzero(~completed | (correction & ~linked))),
+        zero_delay=int(np.count_nonzero(completed & ~delayed)),
     )
 
 
 def period_gaps(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> list[int]:
     """Bar gaps between consecutive same-kind points lying inside a phase."""
-    bar = mm.bar.tolist()
-    gaps = []
-    for ph in phases:
-        for i in range(ph.start_point_index, ph.end_point_index - 1):
-            gaps.append(bar[i + 2] - bar[i])
-    return gaps
+    _, i = _ranges([ph.start_point_index for ph in phases], [ph.end_point_index - 1 for ph in phases])
+    return (mm.bar[i + 2] - mm.bar[i]).tolist()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from trendlab import MinMaxProcess, SarSeries
+from trendlab import CandleSeries, MinMaxProcess, SarSeries
 
 
 def sar_values(sar: SarSeries) -> np.ndarray:
@@ -45,6 +45,20 @@ def process(spec) -> MinMaxProcess:
         detection_close=close,
         d_abs=[abs(p - c) for p, c in zip(price, close)],
     )
+
+
+def gapped_series(seed, n) -> CandleSeries:
+    """Narrow bars on an integer grid that jump by 1-3 between bars.
+
+    Consecutive bars rarely overlap, so a bar breaking the last fixed point
+    often fixes the candidate at once: a fixed high can sit below the
+    previous low (and a low above the previous high), giving legs of
+    non-positive size, also at the end of an open phase.
+    """
+    rng = np.random.default_rng(seed)
+    close = 500.0 + np.cumsum(rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n))
+    half = rng.choice([0.0, 0.25, 0.5], n)
+    return CandleSeries("gapped", tuple(range(n)), close.copy(), close + half, close - half, close.copy())
 
 
 def rise_fall_rise_path() -> np.ndarray:

@@ -101,20 +101,6 @@ def assert_matches_reference(series, scaling, spec, directions):
     return result
 
 
-def gapped_series(seed, n):
-    """Narrow bars on an integer grid that jump by 1-3 between bars.
-
-    Consecutive bars rarely overlap, so a bar breaking the last fixed point
-    often fixes the candidate at once: a fixed high can sit below the
-    previous low (and a low above the previous high), giving legs of
-    non-positive size, also at the end of an open phase.
-    """
-    rng = np.random.default_rng(seed)
-    close = 500.0 + np.cumsum(rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n))
-    half = rng.choice([0.0, 0.25, 0.5], n)
-    return CandleSeries("gapped", tuple(range(n)), close.copy(), close + half, close - half, close.copy())
-
-
 specs = st.sampled_from([TradeSpec(0.382, 1.0), TradeSpec(0.5, 1.0), TradeSpec(0.2, 0.618)])
 direction_sets = st.sampled_from(DIRECTION_SETS)
 
@@ -139,7 +125,7 @@ def test_gbm_matches_reference(seed, scaling, vol, spec, directions):
 )
 @settings(max_examples=80, deadline=None)
 def test_gapped_path_matches_reference(seed, scaling, spec, directions):
-    assert_matches_reference(gapped_series(seed, 400), scaling, spec, directions)
+    assert_matches_reference(fx.gapped_series(seed, 400), scaling, spec, directions)
 
 
 def test_gapped_cases_reach_every_rule():
@@ -148,7 +134,7 @@ def test_gapped_cases_reach_every_rule():
     spec = TradeSpec(0.382, 1.0)
     seen = {"trades": 0, "degenerate": 0, "truncated": 0, "first_point_correction": 0}
     for seed in range(40):
-        series = gapped_series(seed, 400)
+        series = fx.gapped_series(seed, 400)
         for scaling in (1 / 9, 0.5):
             for directions in DIRECTION_SETS:
                 result = assert_matches_reference(series, scaling, spec, directions)

@@ -128,6 +128,12 @@ class TestSarSeries:
         assert sar.heads.dtype == np.int64 and not sar.heads.flags.writeable
         assert sar_values(sar).tolist() == [0, -1, -1, 1, 1]
 
+    def test_equality_answers_without_comparing_arrays(self):
+        # an ndarray field under the dataclass __eq__ would raise "truth value ... is ambiguous"
+        a, b = SarSeries(5, 0, [0, 2], True), SarSeries(5, 0, [0, 2], True)
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
+
 
 class TestMacd:
     def test_constant_closes_zero_lines(self):

@@ -175,9 +175,10 @@ class TestExtractSamples:
         mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
         batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
         pairs = batch.linked_pairs("retracement", "delay_x", "up")
-        assert pairs == list(zip(fx.MULTI_SWING_SAMPLES["retracement"], fx.MULTI_SWING_SAMPLES["delay_x"]))
+        want = np.column_stack([fx.MULTI_SWING_SAMPLES["retracement"], fx.MULTI_SWING_SAMPLES["delay_x"]])
+        assert pairs.shape == want.shape == (3, 2) and pairs.tobytes() == want.tobytes()
         xy = batch.linked_pairs("retracement", "duration", "up")
-        assert [x for x, _ in xy] == fx.MULTI_SWING_SAMPLES["retracement"]
+        assert xy.shape == (3, 2) and xy[:, 0].tobytes() == want[:, 0].tobytes()
 
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=25)
