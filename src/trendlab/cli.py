@@ -8,10 +8,11 @@ the directory (or the single file's stem).
 
 The bytes of a report are a contract. A JSON report is exactly
 ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``. A CSV report is what
-``csv.writer(fh, lineterminator="\\n")`` writes: fields quoted only when they
-need it, and ``\\n`` line ends. They are written without json's pure-Python
-indent encoder and without a csv.writer call per row (see ``_json_text`` and
-``_csv_field``).
+``csv.writer(fh, lineterminator="\\r\\n")`` writes, with ``\\n`` line ends
+instead: fields quoted only when they need it, a field holding ``\\r`` included
+(a ``lineterminator="\\n"`` writer leaves a bare ``\\r`` unquoted on Python
+3.11). They are written without json's pure-Python indent encoder and without
+a csv.writer call per row (see ``_json_text`` and ``_csv_field``).
 """
 from __future__ import annotations
 
@@ -253,12 +254,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as csv.writer(lineterminator="\\n") writes it as one field of a row."""
+    """``text`` as csv.writer(lineterminator="\\r\\n") writes it as one field of a row.
+
+    That writer quotes a field holding ``\\r`` on every Python version; with
+    ``"\\n"``, Python 3.11's leaves a bare ``\\r`` unquoted, and csv.reader
+    then splits the row there.
+    """
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         # rare, so csv itself quotes it and its rule stays the only one
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text])
-        return buf.getvalue()[:-1]
+        csv.writer(buf, lineterminator="\r\n").writerow([text])
+        return buf.getvalue()[:-2]
     return text
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,8 +30,12 @@ Timestamp = Union[date, int]
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
 # rows per block of the column-wise parse: bounds its temporary field lists
 PARSE_BLOCK = 1024
-# synth_trend_series' default swing: each high is this fraction above the last low
+# synth_trend_series' path: the swing size relative to the last low, the bars
+# of a movement, the bars of a full correction, the flat bars before the first swing
 TREND_MOVEMENT_REL = 0.25
+TREND_MOVEMENT_BARS = 15
+TREND_CORRECTION_BARS = 12
+TREND_WARMUP_BARS = 32
 
 
 class CandleParseError(ValueError):
@@ -142,7 +146,7 @@ def _dates(raw: list[str], ints: bool) -> list[Timestamp]:
     return list(map(date.fromisoformat, raw))
 
 
-def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
+def parse_candles(text: str, symbol: str) -> CandleSeries:
     """Parse candle CSV text into a validated series.
 
     Blank lines and whitespace around fields are ignored. Raises
@@ -151,11 +155,7 @@ def parse_candles(text: str | Iterable[str], symbol: str) -> CandleSeries:
     than the first row's, non-numeric price), otherwise the first bad bar
     (non-positive or non-finite price, OHLC order, non-increasing timestamp).
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
-    lines = list(filter(None, map(str.strip, lines)))
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise CandleParseError("empty input: missing header line")
     header = [f.strip().lower() for f in lines[0].split(",")]
@@ -295,39 +295,37 @@ def synth_gbm(s0: float, drift: float, vol: float, n: int, seed: int, symbol: st
 def synth_trend_series(
     s0: float = 100.0,
     swings: int = 60,
-    movement_rel: float = TREND_MOVEMENT_REL,
-    movement_bars: int = 15,
     retracement_mu: float = math.log(0.55),
     retracement_sigma: float = 0.30,
-    correction_bars_base: int = 12,
-    warmup_bars: int = 32,
     seed: int = 0,
     symbol: str = "synthetic-trends",
 ) -> tuple[CandleSeries, list[float]]:
     """Plant i.i.d. log-normal retracements into an alternating swing path.
 
-    Every swing is one movement (up by ``movement_rel`` of the current low over
-    ``movement_bars`` bars) followed by one correction that retraces a fraction
-    X ~ LogNormal(retracement_mu, retracement_sigma) of that movement. Bars are
-    degenerate (open = high = low = close) so detected extrema equal the planted
-    swing prices exactly. Returns the series and the planted X values in order.
+    After ``TREND_WARMUP_BARS`` flat bars at ``s0``, every swing is one
+    movement (up by ``TREND_MOVEMENT_REL`` of the current low over
+    ``TREND_MOVEMENT_BARS`` bars) followed by one correction that retraces a
+    fraction X ~ LogNormal(retracement_mu, retracement_sigma) of that
+    movement. Bars are degenerate (open = high = low = close) so detected
+    extrema equal the planted swing prices exactly. Returns the series and the
+    planted X values in order.
     """
-    if not (s0 > 0.0 and 0.0 < movement_rel and movement_bars >= 2 and swings >= 1):
+    if not (s0 > 0.0 and swings >= 1):
         raise ValueError("invalid synthetic trend parameters")
     rng = np.random.default_rng(seed)
-    closes: list[float] = [s0] * warmup_bars
+    closes: list[float] = [s0] * TREND_WARMUP_BARS
     planted: list[float] = []
     # retracements beyond this would drive the path to or below zero
-    x_cap = 0.9 * (1.0 + movement_rel) / movement_rel
+    x_cap = 0.9 * (1.0 + TREND_MOVEMENT_REL) / TREND_MOVEMENT_REL
     low = s0
     for _ in range(swings):
-        high = low * (1.0 + movement_rel)
-        closes.extend(np.linspace(closes[-1], high, movement_bars + 1)[1:].tolist())
+        high = low * (1.0 + TREND_MOVEMENT_REL)
+        closes.extend(np.linspace(closes[-1], high, TREND_MOVEMENT_BARS + 1)[1:].tolist())
         x = float(np.exp(retracement_mu + retracement_sigma * rng.standard_normal()))
         x = min(x, x_cap)
         planted.append(x)
         new_low = high - x * (high - low)
-        n_corr = max(4, int(round(correction_bars_base * max(x, 0.3))))
+        n_corr = max(4, int(round(TREND_CORRECTION_BARS * max(x, 0.3))))
         closes.extend(np.linspace(high, new_low, n_corr + 1)[1:].tolist())
         low = new_low
     return CandleSeries.from_closes(symbol, closes), planted

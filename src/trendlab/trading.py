@@ -167,59 +167,63 @@ def backtest_anticyclic(
     sar = macd_sar(series, ScalingConfig(scaling))
     mm = run_minmax(series, sar)
     phases = [ph for ph in trend_mod.detect_trends(mm) if ph.direction in directions]
-    phase, start, is_correction, size, previous = trend_mod.legs(mm, phases)
-    price = mm.price.tolist()
-    bar = mm.bar.tolist()
-    detection_bar = mm.detection_bar.tolist()
-    detection_close = mm.detection_close.tolist()
-    d_abs = mm.d_abs.tolist()
-    lows = series.low
-    highs = series.high
+    phase, a, is_correction, size, previous = trend_mod.legs(mm, phases)
+    # down-trend legs are read mirrored, prices negated (IEEE negation is
+    # exact, so bit for bit): every correction then falls from its start point
+    down = np.array([ph.direction == trend_mod.DOWN for ph in phases], dtype=bool)[phase]
+    sign = np.where(down, -1.0, 1.0)
 
     # correction legs from point a to b = a + 1, after the movement ending at a
-    corrections = is_correction & (start > 0)
+    corrections = is_correction & (a > 0)
     degenerate = corrections & ((previous <= 0.0) | (size <= 0.0))
-    tradable = np.flatnonzero(corrections & ~degenerate)
-    trades: list[TradeOutcome] = []
-    for p, a, movement, corr in zip(*(column[tradable].tolist() for column in (phase, start, previous, size))):
-        ph = phases[p]
-        up = ph.direction == trend_mod.UP
-        a_price = price[a]
-        x = corr / movement
-        if up:
-            entry_price = a_price - spec.entry * movement
-            target_price = a_price - spec.target * movement
-        else:
-            entry_price = a_price + spec.entry * movement
-            target_price = a_price + spec.target * movement
-        entry_bar = _first_touch(lows if up else highs, bar[a] + 1, bar[a + 1], entry_price, up)
-        if entry_bar is None:
-            continue
-        target_bar = _first_touch(lows if up else highs, entry_bar, bar[a + 1], target_price, up)
-        d = d_abs[a + 1] / movement
-        if target_bar is not None:
-            trades.append(TradeOutcome(spec.target - spec.entry, True, x, d, ph.direction, entry_bar, target_bar))
-        else:
-            exit_close = detection_close[a + 1]
-            ret = (entry_price - exit_close) / movement if up else (exit_close - entry_price) / movement
-            trades.append(TradeOutcome(ret, False, x, d, ph.direction, entry_bar, detection_bar[a + 1]))
+    t = np.flatnonzero(corrections & ~degenerate)
+    mirrored, b, movement = down[t], a[t] + 1, previous[t]
+    top = sign[t] * mm.price[b - 1]
+    entry = top - spec.entry * movement
+    entry_bar, target_bar = _first_touches(
+        series, mirrored, mm.bar[b - 1] + 1, mm.bar[b], entry, top - spec.target * movement
+    )
+    reached = target_bar >= 0
+    columns = (
+        np.where(reached, spec.target - spec.entry, (entry - sign[t] * mm.detection_close[b]) / movement),
+        reached,
+        size[t] / movement,
+        mm.d_abs[b] / movement,
+        mirrored,
+        entry_bar,
+        np.where(reached, target_bar, mm.detection_bar[b]),
+    )
+    trades = tuple(
+        TradeOutcome(ret, hit, x, d, trend_mod.DIRECTIONS[is_down], first, last)
+        for ret, hit, x, d, is_down, first, last in zip(*(column[entry_bar >= 0].tolist() for column in columns))
+    )
 
     # an entry hit inside the still-open final correction has no resolvable
-    # exit: the open phase's last leg was a movement into the final point k
+    # exit: the open phase ends at the final point k, its last leg moved into
+    # k, and the correction from k runs on to the series' end
     truncated = 0
-    if start.size and mm.open_candidate is not None:
-        ph, k, movement = phases[phase[-1]], int(start[-1]) + 1, float(size[-1])
-        if ph.violation_point_index is None and k == len(price) - 1 and not is_correction[-1] and movement > 0.0:
-            up = ph.direction == trend_mod.UP
-            entry_price = price[k] - spec.entry * movement if up else price[k] + spec.entry * movement
-            if _first_touch(lows if up else highs, bar[k] + 1, len(series) - 1, entry_price, up) is not None:
-                truncated = 1
-    return BacktestResult(tuple(trades), degenerate=int(np.count_nonzero(degenerate)), truncated=truncated)
+    if a.size and phases[-1].violation_point_index is None and not is_correction[-1] and size[-1] > 0.0:
+        k = a[-1:] + 1
+        entry = sign[-1:] * mm.price[k] - spec.entry * size[-1:]
+        [touch] = _first_touches(series, down[-1:], mm.bar[k] + 1, len(series) - 1, entry)
+        truncated = int(touch[0] >= 0)
+    return BacktestResult(trades, degenerate=int(np.count_nonzero(degenerate)), truncated=truncated)
 
 
-def _first_touch(prices, start: int, stop: int, level: float, downward: bool) -> Optional[int]:
-    """First bar in [start, stop] whose extreme reaches the level, else None."""
-    for i, p in enumerate(prices[start : stop + 1].tolist(), start):
-        if (p <= level) if downward else (p >= level):
-            return i
-    return None
+def _first_touches(series: CandleSeries, down: np.ndarray, first, last, *levels: np.ndarray) -> list[np.ndarray]:
+    """Per window of bars first..last, the first bar reaching each level, else -1.
+
+    A bar reaches a level when its low is at or below it, or, where ``down``
+    (mirrored), when its negated high is. One expansion of the windows serves
+    every level.
+    """
+    window, i = trend_mod._ranges(first, last + 1)
+    low = np.where(down[window], -series.high[i], series.low[i])
+    touches = []
+    for level in levels:
+        hits = np.flatnonzero(low <= level[window])
+        head = hits[np.diff(window[hits], prepend=-1) != 0]
+        bar = np.full(len(first), -1)
+        bar[window[head]] = i[head]
+        touches.append(bar)
+    return touches

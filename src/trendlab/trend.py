@@ -1,17 +1,25 @@
 """Dow-trend phases over a MinMax process and the trend-variable samples.
 
-A market is in an up-trend once the last two fixed lows and the last two fixed
-highs are both strictly increasing. The point completing the first such
-quadruple establishes the phase, which starts at the quadruple's first point
-and is observable from the establishing point's detection bar. Every later
-point must lie strictly beyond the previous point of its kind; the first that
-does not (equal values break it too) is the phase's violation point, and the
-trend ends at its detection bar (at the last point's, while still open). A
-violator cannot itself establish a trend: its own pair has just failed the old
-direction and the pair before it held it, so neither direction holds at it.
-Down-trends mirror everything. Phases never overlap: when a new trend's
-establishing quadruple reaches back into the previous phase, its start is
-trimmed to the point after that phase's end point.
+Points alternate in kind, so point k - 2 is the previous point of k's kind.
+The step at k >= 2 is the sign of price[k] - price[k - 2]: +1 for a strictly
+higher high or low, -1 for a strictly lower one, 0 for an equal one. A market
+is in an up-trend at k when the last two lows and the last two highs both
+rise, i.e. when the steps at k - 1 and k are both +1; down-trends mirror it
+with -1. A phase is a maximal run k0..k1 of two or more equal nonzero steps:
+
+  established at k0 + 1, where both same-kind pairs first agree, and
+  observable from that point's detection bar;
+  ended at k1; its violation is k1 + 1, the first point not strictly beyond
+  the previous point of its kind (equal values break the run too), or None
+  when k1 is the last point; the trend ends at the violation's detection bar
+  (at k1's while still open);
+  started at its establishing quadruple's first point k0 - 2, trimmed to the
+  point after the previous phase's end when it reaches back into that phase,
+  so phases never overlap.
+
+The violator rule follows from the runs: a violator starts a new run, and a
+run establishes a phase only at its second step, so a violator never
+establishes a trend itself.
 
 ``legs`` is the one place leg geometry is derived: one numpy expansion of
 each phase's point range gives the completed legs as columns (phase, start
@@ -143,59 +151,32 @@ class SampleBatch:
 
 
 def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
-    """Scan fixed points into non-overlapping trend phases.
+    """Non-overlapping trend phases, one per run of two or more equal nonzero steps.
 
     Depends only on the point sequence, never on prices between points. A
     still-open trend at the end of the process yields a phase without a
     violation point.
     """
-    price = mm.price.tolist()
-    detection_bar = mm.detection_bar.tolist()
-    phases: list[TrendPhase] = []
-    direction: str | None = None
-    start = established = end = -1
-
-    def close(violation: int | None):
-        nonlocal direction
-        phases.append(
-            TrendPhase(
-                direction=direction,  # type: ignore[arg-type]
-                start_point_index=start,
-                end_point_index=end,
-                established_point_index=established,
-                violation_point_index=violation,
-                start_detection_bar=detection_bar[established],
-                end_detection_bar=detection_bar[end if violation is None else violation],
-            )
-        )
-        direction = None
-
-    for k in range(len(price)):
-        if direction is not None:
-            # strict comparison: an equal extremum gives no fresh trend indication
-            if (price[k] > price[k - 2]) if direction == UP else (price[k] < price[k - 2]):
-                end = k
-                continue
-            close(violation=k)
-            # the violator cannot itself establish a trend: one of its
-            # monotonicity legs just failed strictly in both readings
-            continue
-        if k < 3:
-            continue
-        # by alternation (k-3, k-1) and (k-2, k) are the same-kind pairs
-        if price[k - 1] > price[k - 3] and price[k] > price[k - 2]:
-            direction = UP
-        elif price[k - 1] < price[k - 3] and price[k] < price[k - 2]:
-            direction = DOWN
-        else:
-            continue
-        start = k - 3
-        if phases and phases[-1].end_point_index >= start:
-            start = phases[-1].end_point_index + 1
-        established = end = k
-    if direction is not None:
-        close(violation=None)
-    return phases
+    price = mm.price
+    n = len(price)
+    # the step at k >= 2 compares point k with k - 2, the previous point of its kind
+    step = np.zeros(n, dtype=np.int8)
+    step[2:] = (price[2:] > price[:-2]).view(np.int8) - (price[2:] < price[:-2]).view(np.int8)
+    # runs of equal steps start where the step changes (the leading zeros are
+    # no run); the runs k0..k1 of two or more nonzero steps are the phases
+    head = np.flatnonzero(np.diff(step, prepend=0))
+    tail = np.append(head, n)[1:] - 1
+    run = (step[head] != 0) & (tail > head)
+    k0, k1 = head[run], tail[run]
+    # the establishing quadruple's first point, or the one after the previous phase's end
+    start = np.maximum(k0 - 2, np.append(-1, k1)[:-1] + 1)
+    # the point after the run, or the run's own end while the phase is open
+    closing = np.minimum(k1 + 1, n - 1)
+    columns = (step[k0] < 0, start, k1, k0 + 1, closing, mm.detection_bar[k0 + 1], mm.detection_bar[closing])
+    return [
+        TrendPhase(DIRECTIONS[down], s, e, x, v if v > e else None, b0, b1)
+        for down, s, e, x, v, b0, b1 in zip(*(column.tolist() for column in columns))
+    ]
 
 
 def _ranges(starts: Sequence[int], stops: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -69,9 +69,17 @@ def test_json_rejects_what_json_rejects(bad, place):
 @settings(max_examples=300)
 @given(row=st.lists(texts, min_size=2, max_size=6))
 def test_csv_join_is_csv_writer(row):
+    # the "\r\n" writer quotes a field holding "\r" on every Python version
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    assert _csv_join(row) + "\n" == buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    assert _csv_join(row) + "\r\n" == buf.getvalue()
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(st.text(alphabet=',"\r\n xé', max_size=6), min_size=2, max_size=4), max_size=4))
+def test_csv_rows_read_back(rows):
+    text = "".join(_csv_join(row) + "\n" for row in rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
 
 
 def _csv_rewritten(text: str) -> str:
@@ -110,3 +118,15 @@ def test_reports_of_a_symbol_that_needs_quoting(tmp_path, monkeypatch):
     for path in reports:
         text = path.read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name
+
+
+def test_symbol_holding_a_carriage_return_reads_back(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stem = "a\rb"
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 1500, seed=1, symbol=stem), tmp_path / f"{stem}.csv")
+    assert main(["stats", "--input", f"{stem}.csv", "--scaling", "1", "--output", "stats"]) == 0
+    for name in ("samples.csv", "histograms.csv"):
+        text = (tmp_path / "stats" / name).read_bytes().decode("utf-8")
+        header, *rows = csv.reader(io.StringIO(text.split("\n", 1)[1], newline=""))
+        assert rows and all(len(row) == len(header) for row in rows), name
+        assert {row[0] for row in rows} == {stem}, name

@@ -1,0 +1,58 @@
+"""Every backtest trade is ``trade_return`` of its correction leg.
+
+For a tradable correction leg a -> b = a + 1 of ``legs`` (a > 0, positive
+size after a positive movement), the correction's extreme is point b's price
+at a bar of the touch window, and no bar of the window goes beyond it. So the
+entry level is touched exactly when x = size / previous reaches ``entry``, the
+target exactly when it reaches ``target``, and a trade that misses the target
+exits at b's detection close: ret = x - entry - d with d = d_abs[b] /
+previous. The backtest must give those trades, in leg order, with the same
+``reached_target``, ``x`` and ``d`` bit for bit and ``ret`` to rounding.
+"""
+from hypothesis import given, strategies as st
+
+from trendlab import (
+    ScalingConfig,
+    TradeSpec,
+    backtest_anticyclic,
+    detect_trends,
+    macd_sar,
+    run_minmax,
+    synth_gbm,
+    synth_trend_series,
+    trade_return,
+)
+from trendlab.trend import DOWN, UP, legs
+import swing_fixtures as fx
+
+seeds = st.integers(min_value=0, max_value=10_000)
+markets = st.one_of(
+    st.builds(lambda seed, vol: synth_gbm(100.0, 0.0, vol, 5000, seed=seed), seeds, st.sampled_from([0.005, 0.02])),
+    st.builds(lambda seed: synth_trend_series(swings=100, seed=seed)[0], seeds),
+    # integer-grid bars: levels tie with bar extremes exactly
+    st.builds(lambda seed: fx.gapped_series(seed, 400), seeds),
+)
+
+
+@given(markets, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([TradeSpec(0.382, 1.0), TradeSpec(0.5, 0.8)]))
+def test_trades_are_trade_returns_of_their_legs(series, scaling, spec):
+    mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
+    phases = detect_trends(mm)
+    phase, a, is_correction, size, previous = legs(mm, phases)
+    tradable = is_correction & (a > 0) & (size > 0.0) & (previous > 0.0)
+    expected = []
+    for p, j, correction, movement in zip(*(column[tradable].tolist() for column in (phase, a, size, previous))):
+        outcome = trade_return(correction / movement, float(mm.d_abs[j + 1]) / movement, spec)
+        if outcome is not None:
+            expected.append((phases[p].direction, outcome))
+
+    trades = backtest_anticyclic(series, scaling, spec, directions=(UP, DOWN)).trades
+    assert len(trades) == len(expected)
+    for trade, (direction, outcome) in zip(trades, expected):
+        assert (trade.direction, trade.reached_target, trade.x, trade.d) == (
+            direction,
+            outcome.reached_target,
+            outcome.x,
+            outcome.d,
+        )
+        assert abs(trade.ret - outcome.ret) <= 1e-12

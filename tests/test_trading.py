@@ -8,10 +8,14 @@ from hypothesis import given, strategies as st
 from trendlab import (
     BivariateLogNormalParams,
     CandleSeries,
+    ScalingConfig,
     TradeSpec,
     backtest_anticyclic,
     conditional_cross_mean,
+    detect_trends,
     expected_return,
+    macd_sar,
+    run_minmax,
     simulate_expected_return,
     trade_return,
     truncated_lognormal_mean,
@@ -176,6 +180,51 @@ class TestBacktest:
         first, second = result.trades
         assert first.ret == (170.0 - (166.0 + 0.3 * 22.0)) / 22.0
         assert second.reached_target and second.ret == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "mirror"])
+    def test_correction_at_point_zero_is_not_tallied(self, up):
+        # rise to 140, a flat shelf fixes the high 140 at point 0, and a gap
+        # up breaks it: the low fixed at once is the shelf's 140, so the first
+        # phase starts with a correction of size 0 that has no movement before it
+        closes = np.concatenate([100.0 + np.arange(41.0), np.full(20, 140.0), 141.0 + np.arange(20.0),
+                                 160.0 - np.arange(1.0, 11.0), 150.0 + np.arange(1.0, 21.0)])
+        series = CandleSeries.from_closes("gap", closes if up else 300.0 - closes)
+        mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
+        assert detect_trends(mm)[0].start_point_index == 0
+        assert bool(mm.high[0]) == up and mm.price[0] == mm.price[1]
+        for directions in ((UP,), (DOWN,), (UP, DOWN)):
+            result = backtest_anticyclic(series, 1.0, TradeSpec(0.382, 1.0), directions=directions)
+            assert result.degenerate == 0
+            # only the 160 -> 150 correction after the 140 -> 160 movement trades
+            expected = [(0.5, 88, 98)] if (UP if up else DOWN) in directions else []
+            assert [(t.x, t.entry_bar, t.exit_bar) for t in result.trades] == expected
+
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "mirror"])
+    def test_open_phase_ending_in_a_correction_is_not_truncated(self, up):
+        # the multi-swing rise to 134, a shelf there, ten bars one ulp lower,
+        # then a rise: the up phase stays open and its last leg is the
+        # correction 134 -> 134 - ulp into the final point k, whose later bars
+        # touch price[k] without breaking it. The leg open after k is a
+        # movement, so nothing is truncated; read as one, the last leg would
+        # put an entry level at price[k] itself (0.382 ulp below rounds to
+        # it), which those bars reach
+        top = 134.0 if up else 300.0 - 134.0
+        last = np.nextafter(top, 0.0 if up else np.inf)
+        path = fx.multi_swing_path()[:80]
+        rise = last + (1.0 if up else -1.0) * np.arange(1.0, 21.0)
+        closes = np.concatenate([path if up else 300.0 - path, np.full(10, top), np.full(10, last), rise])
+        series = CandleSeries.from_closes("ulp", closes)
+        mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
+        [phase] = detect_trends(mm)
+        assert (phase.violation_point_index, phase.end_point_index) == (None, len(mm) - 1)
+        assert (mm.price[-2], mm.price[-1]) == (top, last) and last in closes[mm.bar[-1] + 1 :]
+        assert last - (1.0 if up else -1.0) * 0.382 * abs(top - last) == last
+        for directions in ((UP,), (DOWN,), (UP, DOWN)):
+            result = backtest_anticyclic(series, 1.0, TradeSpec(0.382, 1.0), directions=directions)
+            assert (result.degenerate, result.truncated) == (0, 0)
+            # the 120 -> 112 correction trades; the mirror's first correction starts at point 0
+            expected = [(0.4, 57, 65)] if up and UP in directions else []
+            assert [(t.x, t.entry_bar, t.exit_bar) for t in result.trades] == expected
 
     def test_backtest_tracks_lemma_on_fitted_law(self):
         # soft closure check: mean backtest return stays near the analytic
