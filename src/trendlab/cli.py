@@ -49,7 +49,7 @@ from .trading import MC_MIN_DRAWS, TradeSpec, backtest_anticyclic, expected_retu
 DEFAULT_SCALINGS = (1.0, 1.2, 1.5, 2.0, 3.0)
 DEFAULT_SWEEP = "0.5:5:0.1"
 DEFAULT_MC_SAMPLES = 1_000_000
-# trade-eval --mc-samples; the Monte Carlo holds ~17 bytes per draw, ~1.7 GB here
+# trade-eval --mc-samples; the Monte Carlo holds ~8 bytes per draw, ~0.8 GB here
 MAX_MC_SAMPLES = 100_000_000
 # histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
 MAX_HIST_BINS = 1_000_000

@@ -6,9 +6,14 @@ rows with and without the (ignored) volume field may mix. A timestamp is an
 version, and the first row fixes which. Bar distance is always measured as
 index difference within a series; calendar gaps are ignored.
 
-``parse_candles`` builds every series' columns in one column-wise pass, and
-``CandleSeries`` is the one place that checks bars. A malformed field is
-reported before any bad bar, even one on an earlier row.
+``read_candle_file`` reads a file in 64 KiB pieces (``READ_BYTES``), each cut
+after its last newline byte, and parses them one at a time with the column
+core of ``parse_candles``: a piece's rows are parsed column-wise, the columns
+of all pieces are joined once, and ``CandleSeries`` is the one place that
+checks bars. So the whole text is never held at once. Errors come in one
+order, whatever the pieces: a non-UTF-8 byte anywhere in the file, then a
+bad header, then the first row with a malformed field, then the first bad
+bar, even one on an earlier row.
 
 All containers are immutable after construction and safe to share across
 threads or processes.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
@@ -30,6 +35,8 @@ Timestamp = Union[date, int]
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
 # rows per block of the column-wise parse: bounds its temporary field lists
 PARSE_BLOCK = 1024
+# bytes per read of read_candle_file, which parses the file one piece at a time
+READ_BYTES = 1 << 16
 # synth_trend_series' path: the swing size relative to the last low, the bars
 # of a movement, the bars of a full correction, the flat bars before the first swing
 TREND_MOVEMENT_REL = 0.25
@@ -53,6 +60,10 @@ class BarError(ValueError):
         super().__init__(message)
         self.index = index
         self.reason = reason
+
+    def __reduce__(self):
+        # ``args`` holds only the message, so copy and pickle rebuild from all three
+        return type(self), (self.args[0], self.index, self.reason), self.__dict__
 
 
 def _ohlc_problem(o: float, h: float, l: float, c: float) -> str:
@@ -155,29 +166,71 @@ def parse_candles(text: str, symbol: str) -> CandleSeries:
     than the first row's, non-numeric price), otherwise the first bad bar
     (non-positive or non-finite price, OHLC order, non-increasing timestamp).
     """
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines:
-        raise CandleParseError("empty input: missing header line")
-    header = [f.strip().lower() for f in lines[0].split(",")]
-    if tuple(header[:5]) != HEADER_FIELDS or len(header) > 6 or (len(header) == 6 and header[5] != "volume"):
-        raise CandleParseError(f"bad header {lines[0]!r}: expected 'date,open,high,low,close[,volume]'")
-    rows = lines[1:]
+    return _parse_pieces(iter([_lines(text)]), symbol)
+
+
+def _lines(text: str) -> list[str]:
+    """The text's non-blank lines, stripped."""
+    return list(filter(None, map(str.strip, text.splitlines())))
+
+
+def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
+    """The series of a text given as the ``_lines`` of its pieces, in order.
+
+    Each piece's rows go through the column parse on their own; the columns
+    are joined once, and CandleSeries checks the bars once, at the end. On a
+    header or field error the remaining pieces are still drawn, so that an
+    error raised while drawing them (read_candle_file's non-UTF-8 byte) is
+    the one reported.
+    """
+    header = None
+    int_dates = False
+    row = 0  # data rows of the earlier pieces
+    timestamps: list[Timestamp] = []
+    blocks: list[list[np.ndarray]] = []
     try:
-        timestamps, ohlc = _parse_columns(rows)
-    except ValueError:
-        _parse_rows(rows)  # raises the CandleParseError naming the first malformed row
+        for rows in pieces:
+            if header is None and rows:
+                header, rows = rows[0], rows[1:]
+                fields = [f.strip().lower() for f in header.split(",")]
+                if tuple(fields[:5]) != HEADER_FIELDS or len(fields) > 6 or (len(fields) == 6 and fields[5] != "volume"):
+                    raise CandleParseError(f"bad header {header!r}: expected 'date,open,high,low,close[,volume]'")
+            if not rows:
+                continue
+            if not row:  # the first row fixes the date format
+                try:
+                    int(rows[0].split(",", 1)[0])
+                    int_dates = True
+                except ValueError:
+                    pass
+            try:
+                stamps, ohlc = _parse_columns(rows, int_dates)
+            except ValueError:
+                _parse_rows(rows, row, int_dates)  # raises the CandleParseError naming the first malformed row
+                raise
+            timestamps += stamps
+            blocks.append(ohlc)
+            row += len(rows)
+        if header is None:
+            raise CandleParseError("empty input: missing header line")
+    except CandleParseError:
+        for _ in pieces:  # a later piece's own error comes first
+            pass
         raise
+    columns = [np.concatenate(column) for column in zip(*blocks)] if blocks else [np.empty(0)] * 4
     try:
-        return CandleSeries(symbol, timestamps, *ohlc)
+        return CandleSeries(symbol, tuple(timestamps), *columns)
     except BarError as exc:
         row = exc.index + 1
         raise CandleParseError(f"{exc.reason} at row {row}", row) from None
 
 
-def _parse_rows(rows: list[str]) -> None:
-    """Row scan that raises CandleParseError naming the first row with a malformed field."""
-    int_dates: bool | None = None
-    for row, line in enumerate(rows, start=1):
+def _parse_rows(rows: list[str], before: int, int_dates: bool) -> None:
+    """Row scan that raises CandleParseError naming the first row with a malformed field.
+
+    ``before`` data rows precede ``rows`` in the file; its first row fixed ``int_dates``.
+    """
+    for row, line in enumerate(rows, start=before + 1):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (5, 6):
             raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
@@ -189,9 +242,7 @@ def _parse_rows(rows: list[str]) -> None:
                 pass
         else:
             raise CandleParseError(f"bad date {parts[0]!r} at row {row}", row)
-        if int_dates is None:
-            int_dates = is_int
-        elif int_dates != is_int:
+        if is_int != int_dates:
             raise CandleParseError(f"mixed date formats at row {row}", row)
         try:
             for price in parts[1:5]:
@@ -200,12 +251,13 @@ def _parse_rows(rows: list[str]) -> None:
             raise CandleParseError(f"non-numeric price at row {row}", row) from None
 
 
-def _parse_columns(rows: list[str]) -> tuple[tuple[Timestamp, ...], list[np.ndarray]]:
+def _parse_columns(rows: list[str], int_dates: bool) -> tuple[list[Timestamp], list[np.ndarray]]:
     """Timestamps and open/high/low/close columns of the rows, PARSE_BLOCK rows at a time.
 
     Raises ValueError on any malformed field; the bars are left to CandleSeries.
-    The date format is fixed by the first row. In a file whose rows mix five and
-    six fields, six-field rows first drop their (ignored) volume field.
+    ``int_dates`` is the date format the file's first row fixed. In rows that
+    mix five and six fields, six-field rows first drop their (ignored) volume
+    field.
     """
     commas = set(map(str.count, rows, repeat(",")))
     if not commas <= {4, 5}:
@@ -214,11 +266,6 @@ def _parse_columns(rows: list[str]) -> tuple[tuple[Timestamp, ...], list[np.ndar
         rows = [row.rsplit(",", 1)[0] if row.count(",") == 5 else row for row in rows]
     width = 6 if commas == {5} else 5
     n = len(rows)
-    try:
-        int(rows[0].split(",", 1)[0])
-        int_dates = True
-    except (IndexError, ValueError):  # IndexError: a header-only file
-        int_dates = False
     timestamps: list[Timestamp] = []
     ohlc = [np.empty(n) for _ in range(4)]
     for start in range(0, n, PARSE_BLOCK):
@@ -228,7 +275,7 @@ def _parse_columns(rows: list[str]) -> tuple[tuple[Timestamp, ...], list[np.ndar
         timestamps.extend(_dates(list(map(str.strip, fields[0::width])), int_dates))
         for j, column in enumerate(ohlc, start=1):
             column[start:stop] = list(map(float, fields[j::width]))
-    return tuple(timestamps), ohlc
+    return timestamps, ohlc
 
 
 def format_candles(series: CandleSeries) -> str:
@@ -240,23 +287,47 @@ def format_candles(series: CandleSeries) -> str:
     )
 
 
-def _read_utf8(path: Path) -> str:
-    """The file's text; a byte that is not UTF-8 raises CandleParseError naming its data row."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines wholly before the one holding the byte, counted as parse_candles counts them
-        before = (data[: exc.start].decode("utf-8") + "x").splitlines()[:-1]
-        row = sum(1 for line in before if line.strip())
-        where = f"at row {row}" if row else "in the header"
-        raise CandleParseError(f"non-UTF-8 byte {data[exc.start]:#04x} {where}", row or None) from None
+def _pieces(f: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes, read READ_BYTES at a time, in pieces that end after a newline byte.
+
+    A piece runs to the last newline byte of a read, the last piece to the
+    file's end. A newline byte lies inside no UTF-8 character and no CRLF pair
+    and ends a line under ``splitlines``, so the pieces' lines are the whole
+    text's lines.
+    """
+    rest: list[bytes] = []  # the reads since the last newline byte
+    while data := f.read(READ_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, data[:cut]])
+            rest.clear()
+        rest.append(data[cut:])
+    if tail := b"".join(rest):
+        yield tail
+
+
+def _decoded_lines(f: BinaryIO) -> Iterator[list[str]]:
+    """The ``_lines`` of each piece; a byte that is not UTF-8 raises CandleParseError naming its data row."""
+    before = 0  # non-blank lines of the earlier pieces, the header included
+    for piece in _pieces(f):
+        try:
+            lines = _lines(piece.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            # the lines wholly before the one holding the byte, counted as parse_candles counts them
+            head = (piece[: exc.start].decode("utf-8") + "x").splitlines()[:-1]
+            row = before + sum(1 for line in head if line.strip())
+            where = f"at row {row}" if row else "in the header"
+            raise CandleParseError(f"non-UTF-8 byte {piece[exc.start]:#04x} {where}", row or None) from None
+        before += len(lines)
+        yield lines
 
 
 def read_candle_file(path) -> CandleSeries:
+    """parse_candles of the file's text, read a piece at a time; errors are prefixed with the path."""
     p = Path(path)
     try:
-        return parse_candles(_read_utf8(p), symbol=p.stem)
+        with p.open("rb") as f:
+            return _parse_pieces(_decoded_lines(f), symbol=p.stem)
     except CandleParseError as exc:
         raise CandleParseError(f"{p}: {exc}", exc.row) from None
 

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +13,7 @@ from trendlab import (
     CandleSeries,
     format_candles,
     parse_candles,
+    read_candle_file,
     synth_gbm,
     synth_trend_series,
 )
@@ -235,6 +240,25 @@ class TestColumnParse:
         assert info.value.row == row
 
 
+def test_read_peak_memory_under_twice_the_series(tmp_path):
+    # numpy reports its buffers to tracemalloc. Reading a piece at a time
+    # peaks at ~1.8x the finished series (its columns twice, while the
+    # pieces' columns are joined); holding the whole file's bytes, text and
+    # line lists at once peaked at ~4.5x
+    path = tmp_path / "gbm.csv"
+    path.write_text(format_candles(synth_gbm(100.0, 0.0, 0.02, 50_000, seed=5)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        series = read_candle_file(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 50_000
+    _assert_same_series(series, parse_candles(path.read_text(), "gbm"))
+    assert peak < 2 * size
+
+
 class TestContainers:
     def test_series_slice_returns_series(self):
         s = synth_gbm(100.0, 0.0, 0.01, 50, seed=1)
@@ -264,6 +288,14 @@ class TestContainers:
         with pytest.raises(BarError, match=f"^{message}$") as info:
             CandleSeries("x", timestamps, [10.0] * 4, [11.0] * 4, low, [10.5] * 4)
         assert info.value.index == index
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))], ids=["copy", "deepcopy", "pickle"])
+    def test_bar_error_copies_and_pickles(self, clone):
+        exc = BarError("invalid OHLC bar at index 2: high < low", 2, "high < low")
+        got = clone(exc)
+        assert type(got) is BarError
+        assert (str(got), got.index, got.reason) == ("invalid OHLC bar at index 2: high < low", 2, "high < low")
+        assert got.args == exc.args
 
     def test_arrays_frozen(self):
         s = synth_gbm(100.0, 0.0, 0.01, 10, seed=1)

@@ -7,6 +7,12 @@ none goes to pass 2, which stops at the first bad bar: a non-positive or
 non-finite price, an OHLC order violation, or a timestamp not above the
 previous row's. Random files carry 0-2 injected defects, and PARSE_BLOCK is
 made small so that defects land in any block.
+
+read_candle_file, which reads a file in pieces, is held to the rule it
+replaced: decode the whole file, naming the data row of a non-UTF-8 byte,
+then parse_candles the text. READ_BYTES is made small so that pieces end
+anywhere, and files carry bad bytes, other line breaks and multi-byte
+characters across piece edges.
 """
 import math
 import re
@@ -14,9 +20,10 @@ from datetime import date, timedelta
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendlab import CandleParseError, parse_candles
+from trendlab import CandleParseError, format_candles, parse_candles, read_candle_file, synth_gbm
 from trendlab import market_data
 
 ISO = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -142,3 +149,80 @@ def test_parse_matches_two_pass_reference(text, block):
     assert [type(t) for t in series.timestamps] == [type(t) for t in timestamps]
     for name, column in zip(("open", "high", "low", "close"), columns):
         assert getattr(series, name).tobytes() == column.tobytes()
+
+
+def reference_read(data):
+    """The series, or (row, message) of the error, from the whole file's bytes."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = (data[: exc.start].decode("utf-8") + "x").splitlines()[:-1]
+        row = sum(1 for line in before if line.strip())
+        where = f"at row {row}" if row else "in the header"
+        return row or None, f"non-UTF-8 byte {data[exc.start]:#04x} {where}"
+    try:
+        return parse_candles(text, "ref")
+    except CandleParseError as exc:
+        return exc.row, str(exc)
+
+
+def assert_reads_as_reference(path, data):
+    expected = reference_read(data)
+    try:
+        series = read_candle_file(path)
+    except CandleParseError as exc:
+        assert (exc.row, str(exc)) == (expected[0], f"{path}: {expected[1]}")
+        return
+    assert not isinstance(expected, tuple), f"accepted a file the reference rejects: {expected}"
+    assert series.symbol == path.stem
+    assert series.timestamps == expected.timestamps
+    assert [type(t) for t in series.timestamps] == [type(t) for t in expected.timestamps]
+    for name in ("open", "high", "low", "close"):
+        assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
+
+
+# line breaks of str.splitlines other than \n, and multi-byte characters, some of them whitespace to str.strip
+BREAKS = ["\x0c", "\x85", "\u2028", "\r"]
+WIDE = ["\xe9", "\xa0", "\u20ac", "\u3000", "\U0001f600"]
+
+
+@pytest.fixture(scope="module")
+def candle_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("read") / "ref.csv"
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, 64, market_data.READ_BYTES])
+@settings(deadline=None)
+@given(text=candle_files(), data=st.data())
+def test_read_matches_whole_file_reference(candle_path, read_bytes, text, data):
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(BREAKS)) + text[at:]
+    if data.draw(st.booleans()):
+        # a character whose bytes straddle a multiple of read_bytes, where the text allows one
+        char = data.draw(st.sampled_from(WIDE))
+        width = len(char.encode("utf-8"))
+        straddling = [i for i in range(len(text) + 1) if len(text[:i].encode("utf-8")) % read_bytes > read_bytes - width]
+        at = data.draw(st.sampled_from(straddling)) if straddling else data.draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    raw = text.encode("utf-8")
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82"])) + raw[at:]
+    candle_path.write_bytes(raw)
+    with mock.patch.object(market_data, "READ_BYTES", read_bytes):
+        assert_reads_as_reference(candle_path, raw)
+
+
+def test_non_utf8_byte_in_a_later_piece_beats_a_field_error_in_the_first(tmp_path):
+    lines = format_candles(synth_gbm(100.0, 0.0, 0.02, 25_000, seed=3)).splitlines()
+    lines[1] = lines[1].split(",", 1)[0] + ",x,1,1,1"
+    # a 0xff byte at the end of data row 20001
+    raw = "\n".join(lines[:20_002]).encode("utf-8") + b"\xff\n" + "\n".join(lines[20_002:]).encode("utf-8")
+    assert raw.index(b"\xff") > market_data.READ_BYTES
+    path = tmp_path / "two_defects.csv"
+    path.write_bytes(raw)
+    with pytest.raises(CandleParseError) as info:
+        read_candle_file(path)
+    assert (info.value.row, str(info.value)) == (20_001, f"{path}: non-UTF-8 byte 0xff at row 20001")
+    assert_reads_as_reference(path, raw)
