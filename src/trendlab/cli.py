@@ -13,6 +13,14 @@ instead: fields quoted only when they need it, a field holding ``\\r`` included
 (a ``lineterminator="\\n"`` writer leaves a bare ``\\r`` unquoted on Python
 3.11). They are written without json's pure-Python indent encoder and without
 a csv.writer call per row (see ``_json_text`` and ``_csv_field``).
+
+JSON reports are rendered one section at a time (``_json_pieces``): detect
+and backtest hand their (file, scaling) sections over as an iterator, so the
+records of one section are alive at a time and a report holds about its own
+text in memory. Every piece is rendered before the file is opened, and
+``--output`` is checked only after every input was read: an input error
+leaves no report and no output directory. The runs read one candle file at a
+time (``_runs``).
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +177,10 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
 def _runs(cfg: RunConfig) -> tuple[str, Iterator[tuple[CandleSeries, float]]]:
     """Resolve cfg's inputs: the market label and the (series, scaling) runs.
 
-    Every scaling of one file runs before the next file is read.
+    Every scaling of one file runs before the next file is read, and the
+    file's series is released first. Commands read the runs through
+    ``starmap`` over a per-run function, so that no loop variable of theirs
+    keeps a series alive either: one series at a time is alive.
     """
     market, files = _input_files(cfg.inputs)
 
@@ -178,6 +189,7 @@ def _runs(cfg: RunConfig) -> tuple[str, Iterator[tuple[CandleSeries, float]]]:
             series = read_candle_file(path)
             for scaling in cfg.scalings:
                 yield series, scaling
+            del series
 
     return market, runs()
 
@@ -206,6 +218,11 @@ def _holds_container(values: Iterable) -> bool:
 def _c_encode(depth: int):
     """json's C encoder, with an item separator that starts a new line ``depth`` levels in."""
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_key(key) -> str:
+    """json's own rendering of a key and its ": ": a one-item dict's text ahead of "null}"."""
+    return _c_encode(0)({key: None})[1:-5]
 
 
 def _json_text(value, depth: int = 0) -> str:
@@ -241,16 +258,53 @@ def _json_text(value, depth: int = 0) -> str:
         records = _c_encode(depth + 2)(value)[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
         return "[" + inner + "{" + item + records + inner + "}" + close
     if brackets == "{}":
-        # json's own rendering of a key: a one-item dict's text ahead of "null}"
-        parts = [_c_encode(0)({key: None})[1:-5] + _json_text(child, depth + 1) for key, child in sorted(value.items())]
+        parts = [_json_key(key) + _json_text(child, depth + 1) for key, child in sorted(value.items())]
     else:
         parts = [_json_text(child, depth + 1) for child in value]
     return brackets[0] + inner + ("," + inner).join(parts) + close
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_pieces(payload) -> list[str]:
+    """The text of ``_write_json(path, payload)``, in pieces.
+
+    A value of a dict payload may be an iterator. It is rendered as a list,
+    one item at a time: ``map`` lets go of each item once its text is made,
+    so the pieces and the one item being rendered are all that is alive.
+    """
+    if not (isinstance(payload, dict) and any(map(isinstance, payload.values(), repeat(Iterator)))):
+        return [_json_text(payload), "\n"]
+    pieces = []
+    for n, (key, value) in enumerate(sorted(payload.items())):
+        pieces.append(("{" if n == 0 else ",") + "\n  " + _json_key(key))
+        if not isinstance(value, Iterator):
+            pieces.append(_json_text(value, 1))
+            continue
+        # a separator ahead of every item; the first one then opens the list
+        start = len(pieces)
+        for text in map(_json_text, value, repeat(2)):
+            pieces += (",\n    ", text)
+        if len(pieces) == start:
+            pieces.append("[]")
+        else:
+            pieces[start] = "[\n    "
+            pieces.append("\n  ]")
+    pieces.append("\n}\n")
+    return pieces
+
+
+def _write_pieces(path: Path, pieces: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+
+
+def _write_json(path: Path, payload) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    Every piece is rendered (``_json_pieces``) before the file is opened, so
+    an error while rendering leaves no file and no directory.
+    """
+    _write_pieces(path, _json_pieces(payload))
 
 
 def _csv_field(text: str) -> str:
@@ -292,29 +346,32 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_detect(cfg: RunConfig) -> int:
     market, runs = _runs(cfg)
-    sections = []
-    for series, scaling in runs:
+    n_sections = n_points = 0
+
+    def section(series, scaling):
+        nonlocal n_sections, n_points
         mm, phases = _detect_one(series, scaling)
+        n_sections += 1
+        n_points += len(mm)
         extrema = [
             {"kind": HIGH if high else LOW, "price": price, "bar": bar, "detection_bar": detected, "d_abs": d_abs}
             for high, price, bar, detected, d_abs in zip(
                 mm.high.tolist(), mm.price.tolist(), mm.bar.tolist(), mm.detection_bar.tolist(), mm.d_abs.tolist()
             )
         ]
-        sections.append(
-            {
-                "symbol": series.symbol,
-                "scaling": scaling,
-                "extrema": extrema,
-                "phases": [dict(vars(ph)) for ph in phases],
-                "open_candidate": dict(vars(mm.open_candidate)) if mm.open_candidate else None,
-            }
-        )
-    payload = {"config": _config_json(cfg), "market": market, "sections": sections}
+        return {
+            "symbol": series.symbol,
+            "scaling": scaling,
+            "extrema": extrema,
+            "phases": [dict(vars(ph)) for ph in phases],
+            "open_candidate": dict(vars(mm.open_candidate)) if mm.open_candidate else None,
+        }
+
+    # sections are rendered one at a time, and every input is read before --output is checked
+    pieces = _json_pieces({"config": _config_json(cfg), "market": market, "sections": starmap(section, runs)})
     out = _out_dir(cfg) / "detect.json"
-    _write_json(out, payload)
-    n_points = sum(len(s["extrema"]) for s in sections)
-    print(f"detect: {len(sections)} sections, {n_points} extrema -> {out}")
+    _write_pieces(out, pieces)
+    print(f"detect: {n_sections} sections, {n_points} extrema -> {out}")
     return 0
 
 
@@ -359,9 +416,11 @@ def _directions(cfg: RunConfig) -> list[str]:
 
 def cmd_stats(cfg: RunConfig) -> int:
     market, runs = _runs(cfg)
-    batches = [
-        trend_mod.extract_samples(*_detect_one(series, scaling), series, scaling=scaling) for series, scaling in runs
-    ]
+
+    def samples(series, scaling):
+        return trend_mod.extract_samples(*_detect_one(series, scaling), series, scaling=scaling)
+
+    batches = list(starmap(samples, runs))
     cells = []
     joints = []
     hist_lines = []
@@ -438,10 +497,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     market, runs = _runs(cfg)
     # per scaling, the gaps of every file in input order
     cell_gaps: dict[float, list[int]] = {scaling: [] for scaling in cfg.scalings}
-    for series, scaling in runs:
+
+    def gaps(series, scaling):
         mm, phases = _detect_one(series, scaling)
-        phases = [p for p in phases if cfg.direction in ("both", p.direction)]
-        cell_gaps[scaling].extend(trend_mod.period_gaps(mm, phases))
+        return scaling, trend_mod.period_gaps(mm, [p for p in phases if cfg.direction in ("both", p.direction)])
+
+    for scaling, run_gaps in starmap(gaps, runs):
+        cell_gaps[scaling].extend(run_gaps)
     rows = []
     fit_points = []
     for scaling, gaps in cell_gaps.items():
@@ -495,29 +557,34 @@ def cmd_trade_eval(cfg: RunConfig, params: BivariateLogNormalParams, spec: Trade
 
 def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
     market, runs = _runs(cfg)
-    sections = []
-    for series, scaling in runs:
+    n_sections = n_trades = 0
+
+    def section(series, scaling):
+        nonlocal n_sections, n_trades
         result = backtest_anticyclic(series, scaling, spec, directions=_directions(cfg))
         trades = result.trades
-        sections.append(
-            {
-                "symbol": series.symbol,
-                "scaling": scaling,
-                "trades": [dict(vars(t)) for t in trades],
-                "summary": {
-                    "n": len(trades),
-                    "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
-                    "target_rate": float(np.mean([t.reached_target for t in trades])) if trades else None,
-                    "degenerate": result.degenerate,
-                    "truncated": result.truncated,
-                },
-            }
-        )
-    payload = {"config": _config_json(cfg), "market": market, "spec": dict(vars(spec)), "sections": sections}
+        n_sections += 1
+        n_trades += len(trades)
+        return {
+            "symbol": series.symbol,
+            "scaling": scaling,
+            "trades": [dict(vars(t)) for t in trades],
+            "summary": {
+                "n": len(trades),
+                "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
+                "target_rate": float(np.mean([t.reached_target for t in trades])) if trades else None,
+                "degenerate": result.degenerate,
+                "truncated": result.truncated,
+            },
+        }
+
+    # sections are rendered one at a time, and every input is read before --output is checked
+    pieces = _json_pieces(
+        {"config": _config_json(cfg), "market": market, "spec": dict(vars(spec)), "sections": starmap(section, runs)}
+    )
     out = _out_dir(cfg) / "backtest.json"
-    _write_json(out, payload)
-    n_trades = sum(s["summary"]["n"] for s in sections)
-    print(f"backtest: {n_trades} trades over {len(sections)} sections -> {out}")
+    _write_pieces(out, pieces)
+    print(f"backtest: {n_trades} trades over {n_sections} sections -> {out}")
     return 0
 
 

@@ -15,11 +15,16 @@ The SAR is bit-identical to a scalar loop over the bars that runs the three
 EMAs with the IEEE operations above. The three EMAs are computed in blocks of
 BLOCK bars with numpy; a bar takes the sign of the blocked line - signal when
 its size is above a per-bar bound (_tie_bound) that covers the rounding of
-both the blocked method and the loop. The exact scalar loop runs from bar 0
-to the last bar that is not so certified, and that is where the
+both the blocked method and the loop. The bound only grows with the running
+maximum of the closes, so certification takes two stages: every bar is first
+held to the bound at the series' largest close, and only the bars that this
+leaves uncertain are held to their own bound. The exact scalar loop runs from
+bar 0 to the last bar that is not so certified, and that is where the
 bit-identity comes from: ties and near-ties, such as flat or piecewise-linear
 stretches of closes, cost scalar steps; random-walk closes need almost none.
-All functions are pure; identical inputs give bit-identical outputs.
+A call holds about three series-length float arrays at its peak: each EMA
+fills one zero-padded buffer, and the line and line - signal are formed in
+place. All functions are pure; identical inputs give bit-identical outputs.
 """
 from __future__ import annotations
 
@@ -111,35 +116,39 @@ class SarSeries:
         return self.n
 
 
-def _ema_blocks(a: np.ndarray, beta: float, y0: float) -> np.ndarray:
-    """y[0] = y0, y[t] = a[t] + beta*y[t-1] (a[0] unused), BLOCK bars at a time.
+def _ema_blocks(alpha: float, v: np.ndarray, beta: float, y0: float) -> np.ndarray:
+    """y[0] = y0, y[t] = alpha*v[t] + beta*y[t-1] (v[0] unused), BLOCK bars at a time.
 
     One matrix product of the (blocks x BLOCK) inputs with the upper-triangular
     matrix of beta powers gives every block as if it started from 0; the
     carries into the blocks are the same recurrence over the block ends with
-    beta**BLOCK, one level up, added as carry * beta**(1..BLOCK).
+    beta**BLOCK, one level up, added as carry * beta**(1..BLOCK). The inputs
+    alpha*v[t] are multiplied straight into one zero-padded buffer, which
+    takes the carry products once the matrix product has read it.
     """
-    n = a.size
+    n = v.size
     blocks = -(-n // BLOCK)
-    x = np.zeros(blocks * BLOCK)
-    x[:n] = a
-    x[0] = y0
+    x = np.zeros((blocks, BLOCK))
+    np.multiply(alpha, v, out=x.reshape(-1)[:n])
+    x[0, 0] = y0
     # beta**k, each power one product from the one before, as _tie_bound assumes
     powers = [1.0]
     for _ in range(BLOCK):
         powers.append(powers[-1] * beta)
     powers = np.array(powers + [0.0])
-    y = x.reshape(blocks, BLOCK) @ powers[_LAG]
+    y = x @ powers[_LAG]
     if blocks > 1:
         ends = y[:, -1]
-        carry = _ema_blocks(ends, float(powers[BLOCK]), float(ends[0]))
-        y[1:] += carry[:-1, None] * powers[1 : BLOCK + 1]
-    return y.ravel()[:n]
+        # 1.0 * end is the end itself, bit for bit
+        carry = _ema_blocks(1.0, ends, float(powers[BLOCK]), float(ends[0]))
+        y[1:] += np.multiply(carry[:-1, None], powers[1 : BLOCK + 1], out=x[1:])
+    return y.reshape(-1)[:n]
 
 
-def _tie_bound(close: np.ndarray, alphas: tuple[float, float, float]) -> np.ndarray:
-    """B_t: where |diff_t| > B_t, the scalar loop's line - signal at bar t is
-    nonzero and has the sign of diff_t, the blocked line - signal.
+def _tie_bound(close: np.ndarray, alphas: tuple[float, float, float], bars: np.ndarray) -> np.ndarray:
+    """B_t at each of the increasing ``bars``: where |diff_t| > B_t, the scalar
+    loop's line - signal at bar t is nonzero and has the sign of diff_t, the
+    blocked line - signal.
 
         B_t = 16 (u R_t + eta) (1/a_f + 1/a_s + 1/a_g + 12 D)
 
@@ -197,7 +206,9 @@ def _tie_bound(close: np.ndarray, alphas: tuple[float, float, float]) -> np.ndar
         m = -(-m // BLOCK)
         levels += 1
     per_bar = 16.0 * (sum(1.0 / alpha for alpha in alphas) + 12.0 * levels)
-    running_max = np.maximum.accumulate(close)
+    # R_t: the running maximum over the stretches of closes that end at the bars
+    starts = np.concatenate(([0], bars[:-1] + 1))
+    running_max = np.maximum.accumulate(np.maximum.reduceat(close[: bars[-1] + 1], starts))
     bound = (2.0 ** -53 * running_max + 2.0 ** -1074) * per_bar
     bound[np.searchsorted(running_max, 2.0 ** 1000) :] = np.inf
     return bound
@@ -249,10 +260,12 @@ def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarS
     """Two-valued MACD SAR: sign of (macd_line - signal_line) with tie carry.
 
     The three EMAs run in blocks (_ema_blocks). A bar whose blocked
-    line - signal is larger than _tie_bound takes its sign; the scalar loop
-    runs, exactly, over the bars up to the last one that is not certified, so
-    the runs are bit-identical to the loop's over the whole series. An
-    empty series gives an empty SarSeries.
+    line - signal is larger than _tie_bound takes its sign: first against
+    the bound at the largest close, which no bar's bound exceeds, then, for
+    the bars that check leaves, against the bar's own. The scalar loop runs,
+    exactly, over the bars up to the last one that is not certified, so the
+    runs are bit-identical to the loop's over the whole series. An empty
+    series gives an empty SarSeries.
     """
     n = len(series)
     # cfg.warmup >= 1, so bar 0 (where both lines are 0.0) is always masked
@@ -263,20 +276,27 @@ def macd_sar(series: CandleSeries, cfg: ScalingConfig = ScalingConfig()) -> SarS
     alphas = (2.0 / (cfg.fast + 1.0), 2.0 / (cfg.slow + 1.0), 2.0 / (cfg.signal + 1.0))
     fast_alpha, slow_alpha, signal_alpha = alphas
     betas = (1.0 - fast_alpha, 1.0 - slow_alpha, 1.0 - signal_alpha)
-    fast_x = fast_alpha * close
-    slow_x = slow_alpha * close
     c0 = float(close[0])
     # closes near the top of the float range can overflow the blocked EMAs;
     # _tie_bound certifies no bar there
     with np.errstate(over="ignore", invalid="ignore"):
-        line = _ema_blocks(fast_x, betas[0], c0) - _ema_blocks(slow_x, betas[1], c0)
-        diff = (line - _ema_blocks(signal_alpha * line, betas[2], 0.0))[warmup:]
-    # up[i] for bar warmup + i
-    up = diff > 0.0
-    # a NaN diff compares false, so it is never certified
-    uncertain = np.flatnonzero(~(np.abs(diff) > _tie_bound(close, alphas)[warmup:]))
+        # the line, then line - signal, formed in the fast EMA's buffer
+        line = _ema_blocks(fast_alpha, close, betas[0], c0)
+        line -= _ema_blocks(slow_alpha, close, betas[1], c0)
+        line -= _ema_blocks(signal_alpha, line, betas[2], 0.0)
+    # up[i] and size[i] for bar warmup + i
+    up = line[warmup:] > 0.0
+    size = np.abs(line[warmup:], out=line[warmup:])
+    del line
+    # a NaN size compares false, so it is never certified
+    uncertain = np.flatnonzero(~(size > _tie_bound(close, alphas, np.array([n - 1]))))
+    if uncertain.size:
+        uncertain = uncertain[~(size[uncertain] > _tie_bound(close, alphas, uncertain + warmup))]
+    # the line's buffer goes before the scalar loop's inputs are made
+    del size
     if uncertain.size:
         stop = warmup + int(uncertain[-1]) + 1
-        up[: stop - warmup] = _scalar_sar(fast_x[:stop], slow_x[:stop], c0, signal_alpha, betas, warmup)
+        fast_x, slow_x = fast_alpha * close[:stop], slow_alpha * close[:stop]
+        up[: stop - warmup] = _scalar_sar(fast_x, slow_x, c0, signal_alpha, betas, warmup)
     heads = np.flatnonzero(up[1:] != up[:-1]) + warmup + 1
     return SarSeries(n, warmup, np.concatenate(([warmup], heads)), bool(up[0]))

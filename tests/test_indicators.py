@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,42 @@ class TestFusedMacdSar:
         assert stops == [len(series)]
         assert sar.first_up and sar.heads[0] == sar.warmup == 26
         assert sar_values(sar).tobytes() == reference_sar_values(series, ScalingConfig(1.0)).tobytes()
+
+    def test_late_spike_is_certified_bar_by_bar(self, monkeypatch):
+        # the spike's bound at the largest close certifies none of the bars
+        # before it; their own bounds certify every one, so no scalar step runs
+        closes = synth_gbm(100.0, 0.0, 0.02, 3000, seed=7).close.copy()
+        closes[-1] *= 1e12
+        series = CandleSeries.from_closes("late_spike", closes)
+        cfg = ScalingConfig(1.0)
+        bound_bars = []
+        tie_bound = indicators._tie_bound
+
+        def recording_tie_bound(close, alphas, bars):
+            bound_bars.append(bars.tolist())
+            return tie_bound(close, alphas, bars)
+
+        def no_scalar_sar(*args):
+            raise AssertionError("the scalar loop ran")
+
+        monkeypatch.setattr(indicators, "_tie_bound", recording_tie_bound)
+        monkeypatch.setattr(indicators, "_scalar_sar", no_scalar_sar)
+        sar = macd_sar(series, cfg)
+        assert bound_bars == [[2999], list(range(cfg.warmup, 2999))]
+        assert sar_values(sar).tobytes() == reference_sar_values(series, cfg).tobytes()
+
+    def test_traced_peak_is_a_few_series_lengths(self):
+        # each EMA fills one buffer and the lines are formed in place: about
+        # three series-length float arrays at the peak
+        n = 50_000
+        series = synth_gbm(100.0, 0.0, 0.02, n, seed=3)
+        tracemalloc.start()
+        try:
+            macd_sar(series, ScalingConfig(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 8 * n
 
 
 def assert_matches_three_pass_form(closes, scalings):

@@ -46,6 +46,51 @@ def test_json_text_is_json_dumps(tmp_path_factory, payload):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@settings(max_examples=100)
+@given(
+    filled=st.dictionaries(keys, payloads, max_size=2),
+    # empty, one item and many: each list is handed to the writer as an iterator
+    lazy=st.dictionaries(keys, st.lists(payloads, max_size=4), min_size=1, max_size=2),
+)
+def test_iterator_values_are_written_as_lists(tmp_path_factory, filled, lazy):
+    payload = {**filled, **lazy}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    _write_json(path, {key: iter(value) if key in lazy else value for key, value in payload.items()})
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_an_iterator_that_raises_leaves_no_report(tmp_path):
+    def sections():
+        yield {"symbol": "a"}
+        raise ValueError("bad input")
+
+    with pytest.raises(ValueError, match="^bad input$"):
+        _write_json(tmp_path / "out" / "report.json", {"config": {}, "sections": sections()})
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detect"], ["backtest", "--entry", "0.5", "--target", "1"]],
+    ids=["detect", "backtest"],
+)
+def test_malformed_second_file_writes_no_report(tmp_path, capsys, argv):
+    # the first file's sections are rendered before the second one is read
+    market = tmp_path / "market"
+    market.mkdir()
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 500, seed=1, symbol="a"), market / "a.csv")
+    (market / "b.csv").write_text("date,open,high,low,close\n0,10,12,9,11\n1,10,9,12,11\n")
+    message = f"error: {market / 'b.csv'}: high < low at row 2\n"
+    command = [argv[0], "--input", str(market), "--scaling", "1", *argv[1:]]
+    assert main([*command, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+    # an input error comes before a missing --output
+    assert main(command) == 1
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}], ids=["int64", "set"])
 @pytest.mark.parametrize(
     "place",
