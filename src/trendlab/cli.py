@@ -61,6 +61,8 @@ DEFAULT_MC_SAMPLES = 1_000_000
 MAX_MC_SAMPLES = 100_000_000
 # histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
 MAX_HIST_BINS = 1_000_000
+# cells of a sweep --scalings grid; every cell is one detection per input file
+MAX_SCALINGS = 10_000
 
 DEFAULT_HISTOGRAMS = {
     trend_mod.RETRACEMENT: HistogramSpec(0.0, 5.0, 0.11),
@@ -143,15 +145,20 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def parse_scaling_range(text: str) -> list[float]:
-    """Expand lo:hi:step into the inclusive grid lo, lo+step, ..., hi."""
+    """Expand lo:hi:step into the inclusive grid lo, lo+step, ..., hi, counted before it is built."""
     try:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"bad --scalings range {text!r}: expected lo:hi:step") from None
     if not (step > 0 and lo <= hi and math.isfinite(hi - lo)):
         raise ValueError(f"bad --scalings range {text!r}: need finite lo <= hi and step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + k * step, 10) for k in range(count)]
+    steps = (hi - lo) / step  # inf where the quotient overflows
+    if not steps + 1e-9 < MAX_SCALINGS:
+        raise ValueError(f"bad --scalings range {text!r}: more than {MAX_SCALINGS} cells (MAX_SCALINGS)")
+    grid = [round(lo + k * step, 10) for k in range(int(math.floor(steps + 1e-9)) + 1)]
+    if len(set(grid)) < len(grid):  # rounding merged neighbouring cells
+        raise ValueError(f"bad --scalings range {text!r}: step {step!r} is below the grid's rounding to ten decimals")
+    return grid
 
 
 def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
@@ -161,7 +168,7 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(q for q in p.iterdir() if q.suffix.lower() == ".csv")
+            found = sorted(q for q in p.iterdir() if q.suffix.lower() == ".csv" and q.is_file())
             if not found:
                 raise FileNotFoundError(f"no input files in directory {p}")
             files.extend(found)
@@ -754,7 +761,7 @@ def main(argv=None) -> int:
             _check_synth_options(args)
             return cmd_synth(cfg, args.kind, args.s0, args.drift, args.vol, args.bars, args.swings, args.symbol)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError) as exc:  # CandleParseError is a ValueError
+    except (ValueError, OSError) as exc:  # CandleParseError is a ValueError, FileNotFoundError an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

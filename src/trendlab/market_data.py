@@ -2,18 +2,21 @@
 
 Candle files are plain UTF-8 CSV with a header ``date,open,high,low,close[,volume]``;
 rows with and without the (ignored) volume field may mix. A timestamp is an
-``int`` bar index or a 10-character ``YYYY-MM-DD`` date on every Python
-version, and the first row fixes which. Bar distance is always measured as
-index difference within a series; calendar gaps are ignored.
+integer bar index or a 10-character ``YYYY-MM-DD`` date on every Python
+version, and the first row fixes which. ``CandleSeries.timestamps`` is one
+numpy column, ``int64`` or ``datetime64[D]`` (``.tolist()`` gives ints or
+``date`` objects). Bar distance is always measured as index difference within
+a series; calendar gaps are ignored. Numbers follow numpy's syntax: a price,
+stripped, is an ASCII decimal float, ``inf`` or ``nan``, and an integer date
+an optional sign and ASCII digits inside int64, so ``1_0``, non-ASCII digits
+and larger integers, which ``float()`` and ``int()`` accept, are malformed.
 
 ``read_candle_file`` reads a file in 64 KiB pieces (``READ_BYTES``), each cut
-after its last newline byte, and parses them one at a time with the column
-core of ``parse_candles``: a piece's rows are parsed column-wise, the columns
-of all pieces are joined once, and ``CandleSeries`` is the one place that
-checks bars. So the whole text is never held at once. Errors come in one
-order, whatever the pieces: a non-UTF-8 byte anywhere in the file, then a
-bad header, then the first row with a malformed field, then the first bad
-bar, even one on an earlier row.
+after its last newline byte, and parses each piece with one ``np.loadtxt``
+call; the pieces' columns are joined once, and ``CandleSeries`` is the one
+place that checks bars. Errors come in one order, whatever the pieces: a
+non-UTF-8 byte anywhere in the file, then a bad header, then the first row
+with a malformed field, then the first bad bar, even one on an earlier row.
 
 All containers are immutable after construction and safe to share across
 threads or processes.
@@ -21,20 +24,15 @@ threads or processes.
 from __future__ import annotations
 
 import math
-import operator
+import warnings
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Iterator, Union
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
-Timestamp = Union[date, int]
-
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
-# rows per block of the column-wise parse: bounds its temporary field lists
-PARSE_BLOCK = 1024
 # bytes per read of read_candle_file, which parses the file one piece at a time
 READ_BYTES = 1 << 16
 # synth_trend_series' path: the swing size relative to the last low, the bars
@@ -76,16 +74,17 @@ def _ohlc_problem(o: float, h: float, l: float, c: float) -> str:
     return "close outside [low, high]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandleSeries:
-    """A symbol plus parallel OHLC arrays with strictly increasing timestamps.
+    """A symbol plus parallel OHLC arrays with strictly increasing timestamps; compared by identity.
 
-    A bad bar raises BarError naming the first bad index under either rule;
-    where one bar breaks both, the OHLC rule is named.
+    ``timestamps`` is an int64 or datetime64[D] array, or a sequence of ints or
+    of ``date`` objects. A bad bar, or an item of the other type, raises BarError
+    naming the first bad index; where one bar breaks two rules, the OHLC rule is named.
     """
 
     symbol: str
-    timestamps: tuple[Timestamp, ...]
+    timestamps: np.ndarray
     open: np.ndarray
     high: np.ndarray
     low: np.ndarray
@@ -96,26 +95,30 @@ class CandleSeries:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        n = len(self.timestamps)
+        ts = self.timestamps
+        n = len(ts)
+        mixed = n  # the first index whose type differs from the first timestamp's
+        if not isinstance(ts, np.ndarray):
+            # never cast mixed items: numpy reads the int 1 as the date 1970-01-02
+            dates = [isinstance(t, date) for t in ts]
+            mixed = dates.index(not dates[0]) if len(set(dates)) == 2 else n
+            ts = np.array(ts[:mixed], dtype="datetime64[D]" if dates and dates[0] else np.int64)
+        ts.flags.writeable = False
+        object.__setattr__(self, "timestamps", ts)
         if not (self.open.shape == self.high.shape == self.low.shape == self.close.shape == (n,)):
             raise ValueError("OHLC arrays and timestamps must have equal length")
         o, h, l, c = self.open, self.high, self.low, self.close
         # NaN fails every comparison, and a finite high bounds the other prices
         good = (l > 0.0) & (l <= o) & (o <= h) & (l <= c) & (c <= h) & np.isfinite(h)
         bad_bar = n if good.all() else int(good.argmin())
-        ts = self.timestamps
-        try:
-            ordered = all(map(operator.gt, ts[1:bad_bar], ts))
-        except TypeError:  # an int and a date
-            ordered = False
-        if not ordered:
-            for i in range(1, bad_bar):
-                try:
-                    if ts[i] > ts[i - 1]:
-                        continue
-                except TypeError:
-                    raise BarError(f"mixed timestamp types at index {i}", i, "mixed timestamp types") from None
-                raise BarError(f"non-increasing timestamp at index {i}", i, "non-increasing timestamp")
+        # compared, not differenced: np.diff can overflow int64
+        head = ts[: min(bad_bar, mixed)]
+        rising = head[1:] > head[:-1]
+        if not rising.all():
+            i = int(rising.argmin()) + 1
+            raise BarError(f"non-increasing timestamp at index {i}", i, "non-increasing timestamp")
+        if mixed < bad_bar:
+            raise BarError(f"mixed timestamp types at index {mixed}", mixed, "mixed timestamp types")
         if bad_bar < n:
             problem = _ohlc_problem(o[bad_bar], h[bad_bar], l[bad_bar], c[bad_bar])
             raise BarError(f"invalid OHLC bar at index {bad_bar}: {problem}", bad_bar, problem)
@@ -124,37 +127,61 @@ class CandleSeries:
         return len(self.timestamps)
 
     def __getitem__(self, item: slice) -> "CandleSeries":
-        return CandleSeries(
-            self.symbol,
-            self.timestamps[item],
-            self.open[item],
-            self.high[item],
-            self.low[item],
-            self.close[item],
-        )
+        columns = (self.timestamps, self.open, self.high, self.low, self.close)
+        return CandleSeries(self.symbol, *(column[item] for column in columns))
 
     @classmethod
-    def from_closes(cls, symbol: str, closes, timestamps=None) -> "CandleSeries":
-        """Series of degenerate bars with open = high = low = close.
+    def from_closes(cls, symbol: str, closes) -> "CandleSeries":
+        """Series of degenerate bars with open = high = low = close, at bars 0, 1, ...
 
         Handy for fixtures where the exact swing prices must survive untouched.
         """
         c = np.asarray(closes, dtype=float)
-        ts = tuple(range(len(c))) if timestamps is None else tuple(timestamps)
-        return cls(symbol, ts, c.copy(), c.copy(), c.copy(), c.copy())
+        return cls(symbol, np.arange(len(c)), c.copy(), c.copy(), c.copy(), c.copy())
 
 
-def _dates(raw: list[str], ints: bool) -> list[Timestamp]:
-    """The one date rule: ``int`` fields, or 10-character ``YYYY-MM-DD`` dates.
+def _loadtxt(lines: list[str], dtype, usecols) -> np.ndarray:
+    """numpy's C reader over comma-separated lines, the number rule of candle files; raises ValueError."""
+    with warnings.catch_warnings():
+        # numpy releases that parse an integer through float (1.0) warn first: refuse instead
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
 
-    Checking the form before ``date.fromisoformat`` keeps out what it accepts
-    only on Python 3.11+, such as the week date 2020-W01-1. Raises ValueError.
+
+def _int_date(line: str) -> bool:
+    """Whether the line's first field is an integer date."""
+    try:
+        return len(_loadtxt([line], np.int64, [0])) == 1
+    except ValueError:
+        return False
+
+
+def _dates(raw) -> np.ndarray:
+    """The one ISO date rule: 10-character ``YYYY-MM-DD`` fields, as a datetime64[D] column.
+
+    The form check keeps out what ``date.fromisoformat`` accepts only on Python
+    3.11+, such as the week date 2020-W01-1; numpy's date parse, which reads
+    ``2020-01``, ``5`` and ``20200103`` as dates, is never used. Raises ValueError.
     """
-    if ints:
-        return list(map(int, raw))
-    if not all(len(t) == 10 and t[4] == t[7] == "-" for t in raw):
+    fields = list(map(str.strip, raw))
+    if not all(len(t) == 10 and t[4] == t[7] == "-" for t in fields):
         raise ValueError("date not in YYYY-MM-DD form")
-    return list(map(date.fromisoformat, raw))
+    days = np.array([date.fromisoformat(t).toordinal() for t in fields], dtype=np.int64)
+    return (days - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+
+
+def _columns(rows: list[str], int_dates: bool) -> list[np.ndarray]:
+    """The rows' timestamp and open/high/low/close columns, from one loadtxt call.
+
+    Raises ValueError on a malformed field or a row without 5 or 6 fields
+    (``usecols`` ignores a seventh). Copies, so that no loaded table outlives the call.
+    """
+    if not {row.count(",") for row in rows} <= {4, 5}:
+        raise ValueError("rows need 5 or 6 fields")
+    dtype = [("date", np.int64 if int_dates else object)] + [(name, np.float64) for name in HEADER_FIELDS[1:]]
+    table = _loadtxt(rows, dtype, range(5))
+    stamps = table["date"].copy() if int_dates else _dates(table["date"])
+    return [stamps] + [table[name].copy() for name in HEADER_FIELDS[1:]]
 
 
 def parse_candles(text: str, symbol: str) -> CandleSeries:
@@ -184,10 +211,8 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
     the one reported.
     """
     header = None
-    int_dates = False
     row = 0  # data rows of the earlier pieces
-    timestamps: list[Timestamp] = []
-    blocks: list[list[np.ndarray]] = []
+    columns: list = [[] for _ in HEADER_FIELDS]  # each column's pieces, then the column
     try:
         for rows in pieces:
             if header is None and rows:
@@ -198,18 +223,13 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
             if not rows:
                 continue
             if not row:  # the first row fixes the date format
-                try:
-                    int(rows[0].split(",", 1)[0])
-                    int_dates = True
-                except ValueError:
-                    pass
+                int_dates = _int_date(rows[0])
             try:
-                stamps, ohlc = _parse_columns(rows, int_dates)
+                for column, piece in zip(columns, _columns(rows, int_dates)):
+                    column.append(piece)
             except ValueError:
                 _parse_rows(rows, row, int_dates)  # raises the CandleParseError naming the first malformed row
                 raise
-            timestamps += stamps
-            blocks.append(ohlc)
             row += len(rows)
         if header is None:
             raise CandleParseError("empty input: missing header line")
@@ -217,9 +237,10 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
         for _ in pieces:  # a later piece's own error comes first
             pass
         raise
-    columns = [np.concatenate(column) for column in zip(*blocks)] if blocks else [np.empty(0)] * 4
+    for k, column in enumerate(columns):  # each column's pieces go once it is joined, not all at the end
+        columns[k] = np.concatenate(column) if column else np.empty(0, np.int64)
     try:
-        return CandleSeries(symbol, tuple(timestamps), *columns)
+        return CandleSeries(symbol, *columns)
     except BarError as exc:
         row = exc.index + 1
         raise CandleParseError(f"{exc.reason} at row {row}", row) from None
@@ -228,62 +249,33 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
 def _parse_rows(rows: list[str], before: int, int_dates: bool) -> None:
     """Row scan that raises CandleParseError naming the first row with a malformed field.
 
-    ``before`` data rows precede ``rows`` in the file; its first row fixed ``int_dates``.
+    ``before`` data rows precede ``rows``; the file's first row fixed ``int_dates``.
+    Each row is judged by the column parse of that row alone: one rule, named here.
     """
     for row, line in enumerate(rows, start=before + 1):
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) not in (5, 6):
             raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
-        for is_int in (True, False):
+        try:
+            _columns([line], int_dates)
+            continue
+        except ValueError:  # the column parse rejects the row: name its first malformed field
+            is_int = _int_date(line)
+        if not is_int:
             try:
-                _dates(parts[:1], is_int)
-                break
+                _dates(parts[:1])
             except ValueError:
-                pass
-        else:
-            raise CandleParseError(f"bad date {parts[0]!r} at row {row}", row)
+                raise CandleParseError(f"bad date {parts[0].strip()!r} at row {row}", row) from None
         if is_int != int_dates:
             raise CandleParseError(f"mixed date formats at row {row}", row)
-        try:
-            for price in parts[1:5]:
-                float(price)
-        except ValueError:
-            raise CandleParseError(f"non-numeric price at row {row}", row) from None
-
-
-def _parse_columns(rows: list[str], int_dates: bool) -> tuple[list[Timestamp], list[np.ndarray]]:
-    """Timestamps and open/high/low/close columns of the rows, PARSE_BLOCK rows at a time.
-
-    Raises ValueError on any malformed field; the bars are left to CandleSeries.
-    ``int_dates`` is the date format the file's first row fixed. In rows that
-    mix five and six fields, six-field rows first drop their (ignored) volume
-    field.
-    """
-    commas = set(map(str.count, rows, repeat(",")))
-    if not commas <= {4, 5}:
-        raise ValueError("rows need 5 or 6 fields")
-    if len(commas) == 2:
-        rows = [row.rsplit(",", 1)[0] if row.count(",") == 5 else row for row in rows]
-    width = 6 if commas == {5} else 5
-    n = len(rows)
-    timestamps: list[Timestamp] = []
-    ohlc = [np.empty(n) for _ in range(4)]
-    for start in range(0, n, PARSE_BLOCK):
-        block = rows[start:start + PARSE_BLOCK]
-        stop = start + len(block)
-        fields = ",".join(block).split(",")
-        timestamps.extend(_dates(list(map(str.strip, fields[0::width])), int_dates))
-        for j, column in enumerate(ohlc, start=1):
-            column[start:stop] = list(map(float, fields[j::width]))
-    return timestamps, ohlc
+        raise CandleParseError(f"non-numeric price at row {row}", row)
 
 
 def format_candles(series: CandleSeries) -> str:
-    """Serialize to candle CSV. Floats use repr, so parse -> format -> parse is exact."""
-    stamps = [ts.isoformat() if isinstance(ts, date) else ts for ts in series.timestamps]
+    """Serialize to candle CSV. Floats use repr, so parse -> format -> parse is exact; dates print as YYYY-MM-DD."""
     columns = (series.open.tolist(), series.high.tolist(), series.low.tolist(), series.close.tolist())
     return "date,open,high,low,close\n" + "".join(
-        [f"{ts},{o!r},{h!r},{l!r},{c!r}\n" for ts, o, h, l, c in zip(stamps, *columns)]
+        [f"{ts},{o!r},{h!r},{l!r},{c!r}\n" for ts, o, h, l, c in zip(series.timestamps.tolist(), *columns)]
     )
 
 
@@ -360,7 +352,7 @@ def synth_gbm(s0: float, drift: float, vol: float, n: int, seed: int, symbol: st
     body_lo = np.minimum(opens, closes)
     highs = body_hi * (1.0 + wick_h)
     lows = body_lo * (1.0 - wick_l)
-    return CandleSeries(symbol, tuple(range(n)), opens, highs, lows, closes)
+    return CandleSeries(symbol, np.arange(n), opens, highs, lows, closes)
 
 
 def synth_trend_series(

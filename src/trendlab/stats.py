@@ -274,7 +274,7 @@ class HistogramSpec:
         return self.lo + self.bin_width * np.arange(self.n_bins + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     spec: HistogramSpec
     counts: np.ndarray

@@ -241,6 +241,26 @@ class TestEmptyAndShortFiles:
             assert sections and all(s["extrema"] == [] for s in sections)
 
 
+class TestInputs:
+    def test_subdirectory_named_csv_is_skipped(self, market_dir, tmp_path):
+        (market_dir / "sub.csv").mkdir()
+        out = tmp_path / "out"
+        assert main(["detect", "--input", str(market_dir), "--scaling", "1", "--output", str(out)]) == 0
+        assert [s["symbol"] for s in read_json(out / "detect.json")["sections"]] == ["alpha", "beta"]
+
+    def test_directory_holding_only_subdirectories_has_no_input_files(self, tmp_path, capsys):
+        (tmp_path / "market" / "sub.csv").mkdir(parents=True)
+        assert main(["detect", "--input", str(tmp_path / "market"), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: no input files in directory {tmp_path / 'market'}\n"
+
+    def test_io_failure_is_an_error_line(self, market_dir, tmp_path, capsys):
+        # the output directory cannot be made under a regular file
+        (tmp_path / "file").write_text("")
+        assert main(["detect", "--input", str(market_dir), "--output", str(tmp_path / "file" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSweep:
     def test_fixture_sweep_two_cells(self, market_dir, tmp_path):
         out = tmp_path / "sweep"

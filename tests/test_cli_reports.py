@@ -5,7 +5,7 @@ import pytest
 
 from trendlab import ExtremumPoint, synth_gbm, synth_trend_series, write_candle_file
 from trendlab import cli
-from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, RunConfig, main
+from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, MAX_SCALINGS, RunConfig, main, parse_scaling_range
 from trendlab.trend import RETRACEMENT
 
 # sha256 of the stats reports for the market built in test_stats_reports_pinned,
@@ -113,8 +113,10 @@ REJECTED = [
     (["stats", "--scaling", "1", "--scaling", "1"], ["repeated", "--scaling", "1.0"]),
     (["detect", "--scaling", "1.5", "--scaling", "2", "--scaling", "1.5"], ["repeated", "--scaling", "1.5"]),
     (["backtest", "--scaling", "2", "--scaling", "2.0", "--entry", "0.5", "--target", "1"], ["repeated", "--scaling", "2.0"]),
-    # cells 1 + k * 1e-11 all round to 1.0 at ten decimals
-    (["sweep", "--scalings", "1:1.000000001:1e-11"], ["repeated", "--scalings", "1.0"]),
+    # cells 1 + k * 1e-11 all round to 1.0 at ten decimals: the step is at fault, not a repeated value
+    (["sweep", "--scalings", "1:1.000000001:1e-11"], ["--scalings", "step 1e-11", "rounding"]),
+    (["sweep", "--scalings", "1:1.0000000001:1e-12"], ["--scalings", "step 1e-12", "rounding"]),
+    (["sweep", "--scalings", f"1:{MAX_SCALINGS + 1}:1"], ["--scalings", f"more than {MAX_SCALINGS} cells"]),
 ]
 
 
@@ -135,6 +137,23 @@ def test_smallest_scaling_accepted():
     RunConfig("detect", inputs=["x"], scalings=[1 / 9]).validate()
     with pytest.raises(ValueError, match="--scaling"):
         RunConfig("detect", inputs=["x"], scalings=[0.111]).validate()
+
+
+def test_scaling_count_limit_is_inclusive():
+    assert len(parse_scaling_range(f"1:{MAX_SCALINGS}:1")) == MAX_SCALINGS
+    with pytest.raises(ValueError, match=f"more than {MAX_SCALINGS} cells"):
+        parse_scaling_range(f"1:{MAX_SCALINGS + 1}:1")
+
+
+@pytest.mark.parametrize("text", ["0.5:5:1e-300", "1:1e12:1", "1:1e300:1e-300"])
+def test_huge_scaling_grid_rejected_unbuilt(monkeypatch, text):
+    # every cell of a built grid is rounded: a grid of 10^12 cells would exhaust memory
+    def refuse(*args):
+        raise AssertionError("a grid cell was built")
+
+    monkeypatch.setattr(cli, "round", refuse, raising=False)
+    with pytest.raises(ValueError, match=f"more than {MAX_SCALINGS} cells"):
+        parse_scaling_range(text)
 
 
 def test_bin_count_limit_is_inclusive():

@@ -1,12 +1,15 @@
 """parse_candles against a naive two-pass reference written from its docstring.
 
 Pass 1 walks the rows and stops at the first malformed field: a field count
-other than 5 or 6, a date that is neither an int nor a YYYY-MM-DD date, a date
-format other than the first row's, or a non-numeric price. Only a file with
-none goes to pass 2, which stops at the first bad bar: a non-positive or
+other than 5 or 6, a date that is neither an integer nor a YYYY-MM-DD date, a
+date format other than the first row's, or a non-numeric price. Numbers follow
+numpy's syntax, written here without numpy: a stripped price is an ASCII
+string without underscores that float() accepts, and an integer date an
+optional sign and ASCII digits inside int64. Only a file with no malformed
+field goes to pass 2, which stops at the first bad bar: a non-positive or
 non-finite price, an OHLC order violation, or a timestamp not above the
-previous row's. Random files carry 0-2 injected defects, and PARSE_BLOCK is
-made small so that defects land in any block.
+previous row's. Random files carry 0-2 injected defects, among them numbers
+that float() and int() accept and numpy does not.
 
 read_candle_file, which reads a file in pieces, is held to the rule it
 replaced: decode the whole file, naming the data row of a non-UTF-8 byte,
@@ -27,20 +30,26 @@ from trendlab import CandleParseError, format_candles, parse_candles, read_candl
 from trendlab import market_data
 
 ISO = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+INT = re.compile(r"[+-]?[0-9]+")
 
 
 def reference_timestamp(field):
     """An int, a date, or None for a field that is neither."""
-    try:
+    if INT.fullmatch(field) and -(2**63) <= int(field) < 2**63:
         return int(field)
-    except ValueError:
-        pass
     if not ISO.fullmatch(field):
         return None
     try:
         return date(int(field[:4]), int(field[5:7]), int(field[8:]))
     except ValueError:
         return None
+
+
+def reference_price(field):
+    """The price of a stripped field; ValueError where numpy's syntax is narrower than float()'s."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
 
 
 def reference_bar_problem(o, h, l, c):
@@ -70,7 +79,7 @@ def reference_parse(text):
         if bars and type(stamp) is not type(bars[0][0]):
             return row, f"mixed date formats at row {row}"
         try:
-            prices = [float(f) for f in fields[1:5]]
+            prices = [reference_price(f) for f in fields[1:5]]
         except ValueError:
             return row, f"non-numeric price at row {row}"
         bars.append((stamp, *prices))
@@ -83,6 +92,9 @@ def reference_parse(text):
     return tuple(b[0] for b in bars), [np.array([b[k] for b in bars], dtype=float) for k in range(1, 5)]
 
 
+# the last ones float() or int() accept, and numpy's syntax does not
+BAD_DATES = ["2020-W01-1", "2020-W01", "2020-13-01", "2020-02-30", "2020/01/02", "abc", "", "1.5", "1.0", "1_0", "\u0661", "99999999999999999999"]
+NON_NUMERIC = ["x", "", "1e", "--1", "#1", "0x10", "1_0", "\u0661", "1\u0660"]
 DEFECTS = ["field-count", "bad-date", "mixed-format", "non-numeric", "non-finite", "ohlc", "non-increasing"]
 
 
@@ -113,11 +125,11 @@ def candle_files(draw):
         if defect == "field-count":
             rows[i] = draw(st.sampled_from([fields[:4], fields[:3], fields[:5] + ["1", "2"]]))
         elif defect == "bad-date":
-            fields[0] = draw(st.sampled_from(["2020-W01-1", "2020-W01", "2020-13-01", "2020-02-30", "2020/01/02", "abc", "", "1.5"]))
+            fields[0] = draw(st.sampled_from(BAD_DATES))
         elif defect == "mixed-format":
             fields[0] = str(offsets[i]) if iso else (date(2019, 12, 1) + timedelta(days=offsets[i])).isoformat()
         elif defect == "non-numeric":
-            fields[draw(column)] = draw(st.sampled_from(["x", "", "1e", "--1"]))
+            fields[draw(column)] = draw(st.sampled_from(NON_NUMERIC))
         elif defect == "non-finite":
             fields[draw(column)] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
         elif defect == "ohlc":
@@ -133,20 +145,25 @@ def candle_files(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
+def assert_timestamps(column, timestamps):
+    """An int64 column of ints, or a datetime64[D] column of dates."""
+    assert column.dtype == ("datetime64[D]" if timestamps[:1] and isinstance(timestamps[0], date) else np.int64)
+    assert column.tolist() == list(timestamps)
+    assert [type(t) for t in column.tolist()] == [type(t) for t in timestamps]
+
+
 @settings(max_examples=400, deadline=None)
-@given(candle_files(), st.sampled_from([1, 2, 3, 5, market_data.PARSE_BLOCK]))
-def test_parse_matches_two_pass_reference(text, block):
+@given(candle_files())
+def test_parse_matches_two_pass_reference(text):
     expected = reference_parse(text)
-    with mock.patch.object(market_data, "PARSE_BLOCK", block):
-        try:
-            series = parse_candles(text, "ref")
-        except CandleParseError as exc:
-            assert (exc.row, str(exc)) == expected
-            return
+    try:
+        series = parse_candles(text, "ref")
+    except CandleParseError as exc:
+        assert (exc.row, str(exc)) == expected
+        return
     assert isinstance(expected[0], tuple), f"accepted a file the reference rejects: {expected}"
     timestamps, columns = expected
-    assert series.timestamps == timestamps
-    assert [type(t) for t in series.timestamps] == [type(t) for t in timestamps]
+    assert_timestamps(series.timestamps, timestamps)
     for name, column in zip(("open", "high", "low", "close"), columns):
         assert getattr(series, name).tobytes() == column.tobytes()
 
@@ -175,8 +192,8 @@ def assert_reads_as_reference(path, data):
         return
     assert not isinstance(expected, tuple), f"accepted a file the reference rejects: {expected}"
     assert series.symbol == path.stem
-    assert series.timestamps == expected.timestamps
-    assert [type(t) for t in series.timestamps] == [type(t) for t in expected.timestamps]
+    assert series.timestamps.dtype == expected.timestamps.dtype
+    assert series.timestamps.tobytes() == expected.timestamps.tobytes()
     for name in ("open", "high", "low", "close"):
         assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
 

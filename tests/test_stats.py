@@ -287,6 +287,11 @@ class TestHistogram:
         assert hist.counts.tolist() == [0, 0]
         assert hist.out_of_range == 2
 
+    def test_histograms_compare_by_identity(self):
+        a, b = (histogram([0.25, 0.75], HistogramSpec(0.0, 1.0, 0.5)) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     @pytest.mark.parametrize("samples", [[], [0.25, 0.75]])
     def test_arrays_are_read_only(self, samples):
         hist = histogram(samples, HistogramSpec(0.0, 1.0, 0.5))
