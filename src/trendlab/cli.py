@@ -1,10 +1,15 @@
 """Command-line surface: detect, stats, sweep, trade-eval, backtest, synth.
 
-Reports are deterministic for a given (inputs, seed): JSON for fits, trade
+Reports are deterministic for given inputs and options: JSON for fits, trade
 evaluations, detection, and backtests; CSV for histograms, samples and sweeps.
-Every report embeds the resolved run configuration for provenance. Samples
-from all files of an input directory are pooled into one market, named after
-the directory (or the single file's stem).
+Every report embeds the run configuration, ``vars(RunConfig)``, for
+provenance. Samples from all files of an input directory are pooled into one
+market, named after the directory (or the single file's stem).
+
+A subcommand takes only the options it reads (``--seed`` only where it seeds).
+``main`` builds one ``RunConfig`` of the resolved values, which checks itself,
+and runs the subcommand's entry of ``COMMANDS``, which checks its own options
+before it reads any input or makes any draw.
 
 The bytes of a report are a contract. A JSON report is exactly
 ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``. A CSV report is what
@@ -31,8 +36,8 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields
 from itertools import chain, repeat, starmap
 from pathlib import Path
 
@@ -81,30 +86,22 @@ LINKED_PAIRS = (
     (trend_mod.REL_CORRECTION, trend_mod.DELAY_C),
 )
 
-_CLI_VARIABLES = {
-    "retracement": trend_mod.RETRACEMENT,
-    "duration": trend_mod.DURATION,
-    "rel-movement": trend_mod.REL_MOVEMENT,
-    "rel-correction": trend_mod.REL_CORRECTION,
-    "delay-x": trend_mod.DELAY_X,
-    "delay-m": trend_mod.DELAY_M,
-    "delay-c": trend_mod.DELAY_C,
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A command's run options, checked on construction; an error names the option at fault and its value."""
+
     command: str
-    inputs: list[str] = field(default_factory=list)
-    scalings: list[float] = field(default_factory=lambda: list(DEFAULT_SCALINGS))
+    inputs: Sequence[str] = ()
+    scalings: Sequence[float] = DEFAULT_SCALINGS
     direction: str = "both"
-    variables: list[str] = field(default_factory=lambda: list(trend_mod.VARIABLES))
+    variables: Sequence[str] = trend_mod.VARIABLES
     hist_range: tuple[float, float] | None = None
     bin_width: float | None = None
     output: str | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.command in ("detect", "stats", "sweep", "backtest") and not self.inputs:
             raise ValueError("at least one input file is required")
         if self.seed < 0:
@@ -126,7 +123,10 @@ class RunConfig:
                 raise ValueError(f"bad --range {lo!r}:{hi!r}: need finite lo < hi")
         if self.bin_width is not None and not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
             raise ValueError(f"bad --bin-width {self.bin_width!r}: need a finite width > 0")
-        for variable in self.variables:
+        for k, variable in enumerate(self.variables):
+            # a repeated variable would write its fits and histogram rows twice
+            if variable in self.variables[:k]:
+                raise ValueError(f"repeated --variable value {variable.replace('_', '-')!r}: each variable may appear once")
             lo, hi, width = _hist_bounds(self, variable)
             # HistogramSpec.n_bins <= MAX_HIST_BINS, checked on the bounds so that the error names the options
             if not (hi - lo) / width - 1e-9 <= MAX_HIST_BINS:
@@ -134,14 +134,6 @@ class RunConfig:
                     f"bad --range/--bin-width: {lo!r}:{hi!r} in bins of {width!r} "
                     f"gives {variable} more than {MAX_HIST_BINS} histogram bins"
                 )
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(p) for p in text.split(":"))
-    except ValueError:
-        raise ValueError(f"bad --range {text!r}: expected lo:hi") from None
-    return lo, hi
 
 
 def parse_scaling_range(text: str) -> list[float]:
@@ -178,6 +170,12 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
             labels.append(p.stem)
         else:
             raise FileNotFoundError(f"no input files at {p}")
+    # a file given twice, as itself or through its directory, would pool its samples twice
+    seen: set[Path] = set()
+    for path in files:
+        if path.resolve() in seen:
+            raise ValueError(f"input file {path} is given twice")
+        seen.add(path.resolve())
     return "+".join(labels), files
 
 
@@ -206,12 +204,6 @@ def _detect_one(series, scaling: float):
     mm = run_minmax(series, sar)
     phases = trend_mod.detect_trends(mm)
     return mm, phases
-
-
-def _config_json(cfg: RunConfig) -> dict:
-    d = dict(vars(cfg))
-    d["hist_range"] = list(cfg.hist_range) if cfg.hist_range else None
-    return d
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -299,9 +291,10 @@ def _json_pieces(payload) -> list[str]:
     return pieces
 
 
-def _write_pieces(path: Path, pieces: list[str]) -> None:
+def _write_pieces(path: Path, pieces: Iterable[str]) -> None:
+    """The one report writer: ``newline=""``, so every line ends in ``\\n`` on every platform."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.writelines(pieces)
 
 
@@ -336,11 +329,8 @@ def _csv_join(fields: Iterable) -> str:
 
 def _write_csv(path: Path, cfg: RunConfig, header: list[str], lines: Iterable[str]) -> None:
     """Write the config comment, the header row and the already formatted lines."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# config: " + json.dumps(_config_json(cfg), sort_keys=True) + "\n")
-        fh.write(_csv_join(header) + "\n")
-        fh.writelines(lines)
+    config = "# config: " + json.dumps(vars(cfg), sort_keys=True) + "\n"
+    _write_pieces(path, chain([config, _csv_join(header) + "\n"], lines))
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -351,7 +341,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_detect(cfg: RunConfig) -> int:
+def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> int:
     market, runs = _runs(cfg)
     n_sections = n_points = 0
 
@@ -375,7 +365,7 @@ def cmd_detect(cfg: RunConfig) -> int:
         }
 
     # sections are rendered one at a time, and every input is read before --output is checked
-    pieces = _json_pieces({"config": _config_json(cfg), "market": market, "sections": starmap(section, runs)})
+    pieces = _json_pieces({"config": vars(cfg), "market": market, "sections": starmap(section, runs)})
     out = _out_dir(cfg) / "detect.json"
     _write_pieces(out, pieces)
     print(f"detect: {n_sections} sections, {n_points} extrema -> {out}")
@@ -421,7 +411,7 @@ def _directions(cfg: RunConfig) -> list[str]:
     return [trend_mod.UP, trend_mod.DOWN] if cfg.direction == "both" else [cfg.direction]
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     market, runs = _runs(cfg)
 
     def samples(series, scaling):
@@ -483,7 +473,7 @@ def cmd_stats(cfg: RunConfig) -> int:
                     }
                 )
     out = _out_dir(cfg)
-    _write_json(out / "fits.json", {"config": _config_json(cfg), "market": market, "cells": cells, "joints": joints})
+    _write_json(out / "fits.json", {"config": vars(cfg), "market": market, "cells": cells, "joints": joints})
     _write_csv(
         out / "histograms.csv",
         cfg,
@@ -500,7 +490,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     market, runs = _runs(cfg)
     # per scaling, the gaps of every file in input order
     cell_gaps: dict[float, list[int]] = {scaling: [] for scaling in cfg.scalings}
@@ -532,26 +522,49 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     lines = [_csv_join(row) + "\n" for row in rows]
     _write_csv(out / "sweep.csv", cfg, ["market", "scaling", "period", "n_gaps", "status"], lines)
-    _write_json(out / "sweep_fit.json", {"config": _config_json(cfg), "market": market, "fit": fit_payload})
+    _write_json(out / "sweep_fit.json", {"config": vars(cfg), "market": market, "fit": fit_payload})
     print(f"sweep: {len(rows)} scaling cells -> {out}")
     return 0
 
 
-def cmd_trade_eval(cfg: RunConfig, params: BivariateLogNormalParams, spec: TradeSpec, mc_samples: int) -> int:
+def _trade_spec(args: argparse.Namespace) -> TradeSpec:
+    """TradeSpec of --entry/--target; an error names the option at fault and its value."""
+    if not args.entry > 0.0:
+        raise ValueError(f"bad --entry {args.entry!r}: need 0 < entry < target")
+    if not args.target > args.entry:
+        raise ValueError(f"bad --target {args.target!r} for --entry {args.entry!r}: need 0 < entry < target")
+    return TradeSpec(args.entry, args.target)
+
+
+def cmd_trade_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    for option, value in (("--mu-x", args.mu_x), ("--mu-d", args.mu_d)):
+        if not math.isfinite(value):
+            raise ValueError(f"bad {option} {value!r}: need a finite mu")
+    for option, value in (("--sigma-x", args.sigma_x), ("--sigma-d", args.sigma_d)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"bad {option} {value!r}: need a finite sigma > 0")
+    if not abs(args.rho) < 1.0:
+        raise ValueError(f"bad --rho {args.rho!r}: need -1 < rho < 1")
+    if not MC_MIN_DRAWS <= args.mc_samples <= MAX_MC_SAMPLES:
+        raise ValueError(
+            f"bad --mc-samples {args.mc_samples}: need {MC_MIN_DRAWS} to {MAX_MC_SAMPLES} draws (MAX_MC_SAMPLES)"
+        )
+    params = BivariateLogNormalParams(args.mu_x, args.mu_d, args.sigma_x, args.sigma_d, args.rho)
+    spec = _trade_spec(args)
     analytic = expected_return(params, spec)
-    mc_mean, mc_stderr = simulate_expected_return(params, spec, n=mc_samples, seed=cfg.seed)
+    mc_mean, mc_stderr = simulate_expected_return(params, spec, n=args.mc_samples, seed=cfg.seed)
     open_probability = stats_mod.lognormal_sf(spec.entry, params.x)
     target_probability = stats_mod.lognormal_sf(spec.target, params.x) / open_probability
     print(f"expected return analytic: {analytic:.6f}")
-    print(f"expected return MC:       {mc_mean:.6f} +/- {mc_stderr:.6f} (n={mc_samples})")
+    print(f"expected return MC:       {mc_mean:.6f} +/- {mc_stderr:.6f} (n={args.mc_samples})")
     print(f"open probability:         {open_probability:.6f}")
     print(f"target probability:       {target_probability:.6f}")
     if cfg.output:
         payload = {
-            "config": _config_json(cfg),
+            "config": vars(cfg),
             "params": dict(vars(params)),
             "spec": dict(vars(spec)),
-            "mc_samples": mc_samples,
+            "mc_samples": args.mc_samples,
             "analytic": analytic,
             "mc_mean": mc_mean,
             "mc_stderr": mc_stderr,
@@ -562,7 +575,8 @@ def cmd_trade_eval(cfg: RunConfig, params: BivariateLogNormalParams, spec: Trade
     return 0
 
 
-def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
+def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    spec = _trade_spec(args)
     market, runs = _runs(cfg)
     n_sections = n_trades = 0
 
@@ -587,7 +601,7 @@ def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
 
     # sections are rendered one at a time, and every input is read before --output is checked
     pieces = _json_pieces(
-        {"config": _config_json(cfg), "market": market, "spec": dict(vars(spec)), "sections": starmap(section, runs)}
+        {"config": vars(cfg), "market": market, "spec": dict(vars(spec)), "sections": starmap(section, runs)}
     )
     out = _out_dir(cfg) / "backtest.json"
     _write_pieces(out, pieces)
@@ -595,113 +609,7 @@ def cmd_backtest(cfg: RunConfig, spec: TradeSpec) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, kind: str, s0: float, drift: float, vol: float, bars: int, swings: int, symbol: str) -> int:
-    if not cfg.output:
-        raise ValueError("--output is required for synth")
-    # options that pass _check_synth_options can still leave the float range on a wild draw
-    try:
-        with np.errstate(all="ignore"):
-            if kind == "gbm":
-                series = synth_gbm(s0, drift, vol, bars, seed=cfg.seed, symbol=symbol)
-            else:
-                series, _ = synth_trend_series(s0=s0, swings=swings, seed=cfg.seed, symbol=symbol)
-    except BarError as exc:
-        options = f"--s0 {s0!r}, --drift {drift!r}, --vol {vol!r}" if kind == "gbm" else f"--s0 {s0!r}, --swings {swings}"
-        raise ValueError(f"bad {options} with --seed {cfg.seed}: the path leaves the float range at bar {exc.index}") from None
-    out = Path(cfg.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_candle_file(series, out)
-    print(f"synth: {len(series)} bars ({kind}) -> {out}")
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: an option is read only under its full name, so a
-    # prefix such as sweep's --scaling is an error, not a silent --scalings
-    parser = argparse.ArgumentParser(
-        prog="trendlab", description="Dow-trend detection and trend statistics toolkit", allow_abbrev=False
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # options only some subcommands read; every subcommand takes --output and --seed
-    market_options = {
-        "--input": dict(action="append", default=[], help="candle CSV file or directory (repeatable)"),
-        "--scaling": dict(action="append", type=float, default=None, help="MACD scaling (repeatable)"),
-        "--direction": dict(choices=["up", "down", "both"], default="both"),
-    }
-
-    def command(name, help, *options):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        for option in options:
-            p.add_argument(option, **market_options[option])
-        p.add_argument("--output", default=None, help="output directory (file path for synth)")
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    command("detect", "extrema and trend phases per input and scaling", "--input", "--scaling")
-
-    p = command("stats", "log-normal fits, AD tests, and histograms of trend variables", "--input", "--scaling", "--direction")
-    p.add_argument("--variable", action="append", choices=sorted(_CLI_VARIABLES), default=None, help="restrict to these variables (repeatable)")
-    p.add_argument("--range", dest="hist_range", default=None, help="histogram range lo:hi")
-    p.add_argument("--bin-width", type=float, default=None, help="histogram bin width")
-
-    p = command("sweep", "mean trend period per scaling plus a linear fit", "--input", "--direction")
-    p.add_argument("--scalings", default=DEFAULT_SWEEP, help="scaling grid lo:hi:step")
-
-    p = command("trade-eval", "analytic and Monte Carlo expected return of the anti-cyclic trade")
-    p.add_argument("--mu-x", type=float, required=True)
-    p.add_argument("--sigma-x", type=float, required=True)
-    p.add_argument("--mu-d", type=float, required=True)
-    p.add_argument("--sigma-d", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--entry", type=float, required=True, help="entry retracement level a")
-    p.add_argument("--target", type=float, required=True, help="target retracement level t")
-    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
-
-    p = command("backtest", "replay the anti-cyclic rule over detected corrections", "--input", "--scaling", "--direction")
-    p.add_argument("--entry", type=float, required=True)
-    p.add_argument("--target", type=float, required=True)
-
-    p = command("synth", "write a synthetic candle CSV")
-    p.add_argument("--kind", choices=["gbm", "trends"], default="gbm")
-    p.add_argument("--s0", type=float, default=100.0)
-    p.add_argument("--drift", type=float, default=0.0)
-    p.add_argument("--vol", type=float, default=0.02)
-    p.add_argument("--bars", type=int, default=2000)
-    p.add_argument("--swings", type=int, default=60)
-    p.add_argument("--symbol", default="synthetic")
-    return parser
-
-
-def _trade_spec(args: argparse.Namespace) -> TradeSpec:
-    """TradeSpec of --entry/--target; an error names the option at fault and its value."""
-    if not args.entry > 0.0:
-        raise ValueError(f"bad --entry {args.entry!r}: need 0 < entry < target")
-    if not args.target > args.entry:
-        raise ValueError(f"bad --target {args.target!r} for --entry {args.entry!r}: need 0 < entry < target")
-    return TradeSpec(args.entry, args.target)
-
-
-def _trade_eval_options(args: argparse.Namespace) -> tuple[BivariateLogNormalParams, TradeSpec, int]:
-    """trade-eval's law, trade and draw count; an error names the option at fault and its value."""
-    for option, value in (("--mu-x", args.mu_x), ("--mu-d", args.mu_d)):
-        if not math.isfinite(value):
-            raise ValueError(f"bad {option} {value!r}: need a finite mu")
-    for option, value in (("--sigma-x", args.sigma_x), ("--sigma-d", args.sigma_d)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"bad {option} {value!r}: need a finite sigma > 0")
-    if not abs(args.rho) < 1.0:
-        raise ValueError(f"bad --rho {args.rho!r}: need -1 < rho < 1")
-    if not MC_MIN_DRAWS <= args.mc_samples <= MAX_MC_SAMPLES:
-        raise ValueError(
-            f"bad --mc-samples {args.mc_samples}: need {MC_MIN_DRAWS} to {MAX_MC_SAMPLES} draws (MAX_MC_SAMPLES)"
-        )
-    params = BivariateLogNormalParams(args.mu_x, args.mu_d, args.sigma_x, args.sigma_d, args.rho)
-    return params, _trade_spec(args), args.mc_samples
-
-
-def _check_synth_options(args: argparse.Namespace) -> None:
-    """synth's generator parameters; an error names the option at fault and its value."""
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     for option, value in (("--bars", args.bars), ("--swings", args.swings)):
         if value < 1:
             raise ValueError(f"bad {option} {value}: need at least 1")
@@ -724,47 +632,120 @@ def _check_synth_options(args: argparse.Namespace) -> None:
         log_bottom = math.log(args.s0)
     if not (math.log(sys.float_info.min) < log_bottom and log_top < math.log(sys.float_info.max)):
         raise ValueError(f"bad {options}: the path can leave the float range")
+    if not cfg.output:
+        raise ValueError("--output is required for synth")
+    # options that pass these checks can still leave the float range on a wild draw
+    try:
+        with np.errstate(all="ignore"):
+            if args.kind == "gbm":
+                series = synth_gbm(args.s0, args.drift, args.vol, args.bars, seed=cfg.seed, symbol=args.symbol)
+            else:
+                series, _ = synth_trend_series(s0=args.s0, swings=args.swings, seed=cfg.seed, symbol=args.symbol)
+    except BarError as exc:
+        if args.kind == "gbm":
+            options = f"--s0 {args.s0!r}, --drift {args.drift!r}, --vol {args.vol!r}"
+        else:
+            options = f"--s0 {args.s0!r}, --swings {args.swings}"
+        raise ValueError(f"bad {options} with --seed {cfg.seed}: the path leaves the float range at bar {exc.index}") from None
+    out = Path(cfg.output)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_candle_file(series, out)
+    print(f"synth: {len(series)} bars ({args.kind}) -> {out}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: an option is read only under its full name, so a
+    # prefix such as sweep's --scaling is an error, not a silent --scalings
+    parser = argparse.ArgumentParser(
+        prog="trendlab", description="Dow-trend detection and trend statistics toolkit", allow_abbrev=False
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # options only some subcommands read; every subcommand takes --output. Each
+    # option that sets a RunConfig field has that field's name as its dest
+    market_options = {
+        "--input": dict(action="append", dest="inputs", metavar="INPUT", help="candle CSV file or directory (repeatable)"),
+        "--scaling": dict(action="append", dest="scalings", metavar="SCALING", type=float, help="MACD scaling (repeatable)"),
+        "--direction": dict(choices=["up", "down", "both"]),
+    }
+
+    def command(name, help, *options):
+        # an option not given is left out of the parsed arguments, so RunConfig's default is its one default
+        p = sub.add_parser(name, help=help, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for option in options:
+            p.add_argument(option, **market_options[option])
+        p.add_argument("--output", help="output directory (file path for synth)")
+        return p
+
+    command("detect", "extrema and trend phases per input and scaling", "--input", "--scaling")
+
+    p = command("stats", "log-normal fits, AD tests, and histograms of trend variables", "--input", "--scaling", "--direction")
+    variables = [v.replace("_", "-") for v in trend_mod.VARIABLES]
+    p.add_argument("--variable", action="append", dest="variables", choices=variables, help="restrict to these variables (repeatable)")
+    p.add_argument("--range", dest="hist_range", help="histogram range lo:hi")
+    p.add_argument("--bin-width", type=float, help="histogram bin width")
+
+    p = command("sweep", "mean trend period per scaling plus a linear fit", "--input", "--direction")
+    p.add_argument("--scalings", default=DEFAULT_SWEEP, help="scaling grid lo:hi:step")
+
+    p = command("trade-eval", "analytic and Monte Carlo expected return of the anti-cyclic trade")
+    for option in ("--mu-x", "--sigma-x", "--mu-d", "--sigma-d", "--rho"):
+        p.add_argument(option, type=float, required=True)
+    p.add_argument("--entry", type=float, required=True, help="entry retracement level a")
+    p.add_argument("--target", type=float, required=True, help="target retracement level t")
+    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
+    p.add_argument("--seed", type=int, help="seed of the Monte Carlo draws")
+
+    p = command("backtest", "replay the anti-cyclic rule over detected corrections", "--input", "--scaling", "--direction")
+    p.add_argument("--entry", type=float, required=True)
+    p.add_argument("--target", type=float, required=True)
+
+    p = command("synth", "write a synthetic candle CSV")
+    p.add_argument("--kind", choices=["gbm", "trends"], default="gbm")
+    p.add_argument("--s0", type=float, default=100.0)
+    p.add_argument("--drift", type=float, default=0.0)
+    p.add_argument("--vol", type=float, default=0.02)
+    p.add_argument("--bars", type=int, default=2000)
+    p.add_argument("--swings", type=int, default=60)
+    p.add_argument("--symbol", default="synthetic")
+    p.add_argument("--seed", type=int, help="seed of the path's draws")
+    return parser
+
+
+COMMANDS = {
+    "detect": cmd_detect,
+    "stats": cmd_stats,
+    "sweep": cmd_sweep,
+    "trade-eval": cmd_trade_eval,
+    "backtest": cmd_backtest,
+    "synth": cmd_synth,
+}
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the parsed arguments, built once from the resolved values of the options given."""
+    options = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if "hist_range" in options:
+        try:
+            lo, hi = (float(p) for p in args.hist_range.split(":"))
+        except ValueError:
+            raise ValueError(f"bad --range {args.hist_range!r}: expected lo:hi") from None
+        options["hist_range"] = (lo, hi)
+    if "variables" in options:
+        options["variables"] = [v.replace("-", "_") for v in args.variables]
+    if args.command == "sweep":
+        options["scalings"] = parse_scaling_range(args.scalings)
+    return RunConfig(**options)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        inputs=list(getattr(args, "input", [])),
-        scalings=list(getattr(args, "scaling", None) or DEFAULT_SCALINGS),
-        direction=getattr(args, "direction", "both"),
-        output=args.output,
-        seed=args.seed,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "stats":
-            if args.variable:
-                cfg.variables = [_CLI_VARIABLES[v] for v in args.variable]
-            if args.hist_range is not None:
-                cfg.hist_range = _parse_range(args.hist_range)
-            cfg.bin_width = args.bin_width
-        if args.command == "sweep":
-            cfg.scalings = parse_scaling_range(args.scalings)
-        cfg.validate()
-        if args.command == "detect":
-            return cmd_detect(cfg)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "trade-eval":
-            return cmd_trade_eval(cfg, *_trade_eval_options(args))
-        if args.command == "backtest":
-            return cmd_backtest(cfg, _trade_spec(args))
-        if args.command == "synth":
-            _check_synth_options(args)
-            return cmd_synth(cfg, args.kind, args.s0, args.drift, args.vol, args.bars, args.swings, args.symbol)
-        parser.error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](_run_config(args), args)
     except (ValueError, OSError) as exc:  # CandleParseError is a ValueError, FileNotFoundError an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

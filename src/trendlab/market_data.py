@@ -5,11 +5,12 @@ rows with and without the (ignored) volume field may mix. A timestamp is an
 integer bar index or a 10-character ``YYYY-MM-DD`` date on every Python
 version, and the first row fixes which. ``CandleSeries.timestamps`` is one
 numpy column, ``int64`` or ``datetime64[D]`` (``.tolist()`` gives ints or
-``date`` objects). Bar distance is always measured as index difference within
-a series; calendar gaps are ignored. Numbers follow numpy's syntax: a price,
-stripped, is an ASCII decimal float, ``inf`` or ``nan``, and an integer date
-an optional sign and ASCII digits inside int64, so ``1_0``, non-ASCII digits
-and larger integers, which ``float()`` and ``int()`` accept, are malformed.
+``date`` objects), that holds each timestamp as given or raises BarError. Bar
+distance is always measured as index difference within a series; calendar
+gaps are ignored. Numbers follow numpy's syntax: a price, stripped, is an
+ASCII decimal float, ``inf`` or ``nan``, and an integer date an optional sign
+and ASCII digits inside int64, so ``1_0``, non-ASCII digits and larger
+integers, which ``float()`` and ``int()`` accept, are malformed.
 
 ``read_candle_file`` reads a file in 64 KiB pieces (``READ_BYTES``), each cut
 after its last newline byte, and parses each piece with one ``np.loadtxt``
@@ -26,9 +27,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, NoReturn
 
 import numpy as np
 
@@ -78,9 +79,11 @@ def _ohlc_problem(o: float, h: float, l: float, c: float) -> str:
 class CandleSeries:
     """A symbol plus parallel OHLC arrays with strictly increasing timestamps; compared by identity.
 
-    ``timestamps`` is an int64 or datetime64[D] array, or a sequence of ints or
-    of ``date`` objects. A bad bar, or an item of the other type, raises BarError
-    naming the first bad index; where one bar breaks two rules, the OHLC rule is named.
+    ``timestamps`` is an integer array (stored as int64), a datetime64[D]
+    array, or a sequence of ints inside int64 or of ``date`` objects (no
+    bools, no datetimes). A bad bar or timestamp (index 0 for an array of
+    another dtype) raises BarError naming the first bad index; where one bar
+    breaks two rules, the OHLC rule is named.
     """
 
     symbol: str
@@ -97,12 +100,15 @@ class CandleSeries:
             object.__setattr__(self, name, arr)
         ts = self.timestamps
         n = len(ts)
-        mixed = n  # the first index whose type differs from the first timestamp's
-        if not isinstance(ts, np.ndarray):
-            # never cast mixed items: numpy reads the int 1 as the date 1970-01-02
-            dates = [isinstance(t, date) for t in ts]
-            mixed = dates.index(not dates[0]) if len(set(dates)) == 2 else n
-            ts = np.array(ts[:mixed], dtype="datetime64[D]" if dates and dates[0] else np.int64)
+        bad = n  # the first timestamp of another kind than the first one's
+        if isinstance(ts, np.ndarray) and ts.dtype.kind in "iu" and np.can_cast(ts.dtype, np.int64):
+            ts = ts.astype(np.int64, copy=False)
+        elif not (isinstance(ts, np.ndarray) and ts.dtype == np.dtype("datetime64[D]")):
+            # judged item by item, never cast: numpy stores 0.5 as 0, "1" as 1 and the int 1 as the date 1970-01-02
+            kinds = list(map(_timestamp_kind, ts))
+            first = kinds[0] if kinds and kinds[0] else int
+            bad = next((i for i, kind in enumerate(kinds) if kind is not first), n)
+            ts = np.array(ts[:bad], dtype="datetime64[D]" if first is date else np.int64)
         ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         if not (self.open.shape == self.high.shape == self.low.shape == self.close.shape == (n,)):
@@ -112,13 +118,14 @@ class CandleSeries:
         good = (l > 0.0) & (l <= o) & (o <= h) & (l <= c) & (c <= h) & np.isfinite(h)
         bad_bar = n if good.all() else int(good.argmin())
         # compared, not differenced: np.diff can overflow int64
-        head = ts[: min(bad_bar, mixed)]
+        head = ts[: min(bad_bar, bad)]
         rising = head[1:] > head[:-1]
         if not rising.all():
             i = int(rising.argmin()) + 1
             raise BarError(f"non-increasing timestamp at index {i}", i, "non-increasing timestamp")
-        if mixed < bad_bar:
-            raise BarError(f"mixed timestamp types at index {mixed}", mixed, "mixed timestamp types")
+        if bad < bad_bar:
+            reason = "mixed timestamp types" if kinds[bad] else "timestamp neither an integer nor a date"
+            raise BarError(f"{reason} at index {bad}", bad, reason)
         if bad_bar < n:
             problem = _ohlc_problem(o[bad_bar], h[bad_bar], l[bad_bar], c[bad_bar])
             raise BarError(f"invalid OHLC bar at index {bad_bar}: {problem}", bad_bar, problem)
@@ -138,6 +145,13 @@ class CandleSeries:
         """
         c = np.asarray(closes, dtype=float)
         return cls(symbol, np.arange(len(c)), c.copy(), c.copy(), c.copy(), c.copy())
+
+
+def _timestamp_kind(t) -> type | None:
+    """``int`` for an integer inside int64, ``date`` for a date, None for a timestamp of any other type."""
+    if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
+        return int if -(2**63) <= t < 2**63 else None
+    return date if isinstance(t, date) and not isinstance(t, datetime) else None
 
 
 def _loadtxt(lines: list[str], dtype, usecols) -> np.ndarray:
@@ -228,8 +242,7 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
                 for column, piece in zip(columns, _columns(rows, int_dates)):
                     column.append(piece)
             except ValueError:
-                _parse_rows(rows, row, int_dates)  # raises the CandleParseError naming the first malformed row
-                raise
+                _parse_rows(rows, row, int_dates)
             row += len(rows)
         if header is None:
             raise CandleParseError("empty input: missing header line")
@@ -246,29 +259,35 @@ def _parse_pieces(pieces: Iterator[list[str]], symbol: str) -> CandleSeries:
         raise CandleParseError(f"{exc.reason} at row {row}", row) from None
 
 
-def _parse_rows(rows: list[str], before: int, int_dates: bool) -> None:
-    """Row scan that raises CandleParseError naming the first row with a malformed field.
+def _parse_rows(rows: list[str], before: int, int_dates: bool) -> NoReturn:
+    """Raise the CandleParseError naming the first of ``rows`` with a malformed field.
 
-    ``before`` data rows precede ``rows``; the file's first row fixed ``int_dates``.
-    Each row is judged by the column parse of that row alone: one rule, named here.
+    ``rows``, which the column parse rejects, follow ``before`` data rows; the
+    file's first row fixed ``int_dates``. The column parse accepts a range of
+    rows exactly when it accepts each of its rows, so halving the range finds
+    the first rejected row in O(log n) calls; its first malformed field is named here.
     """
-    for row, line in enumerate(rows, start=before + 1):
-        parts = line.split(",")
-        if len(parts) not in (5, 6):
-            raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
+    lo, hi = 0, len(rows)  # the first rejected row lies in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            _columns([line], int_dates)
-            continue
-        except ValueError:  # the column parse rejects the row: name its first malformed field
-            is_int = _int_date(line)
-        if not is_int:
-            try:
-                _dates(parts[:1])
-            except ValueError:
-                raise CandleParseError(f"bad date {parts[0].strip()!r} at row {row}", row) from None
-        if is_int != int_dates:
-            raise CandleParseError(f"mixed date formats at row {row}", row)
-        raise CandleParseError(f"non-numeric price at row {row}", row)
+            _columns(rows[lo:mid], int_dates)
+            lo = mid
+        except ValueError:
+            hi = mid
+    line, row = rows[lo], before + lo + 1
+    parts = line.split(",")
+    if len(parts) not in (5, 6):
+        raise CandleParseError(f"malformed row: expected 5 or 6 fields, got {len(parts)} at row {row}", row)
+    is_int = _int_date(line)
+    if not is_int:
+        try:
+            _dates(parts[:1])
+        except ValueError:
+            raise CandleParseError(f"bad date {parts[0].strip()!r} at row {row}", row) from None
+    if is_int != int_dates:
+        raise CandleParseError(f"mixed date formats at row {row}", row)
+    raise CandleParseError(f"non-numeric price at row {row}", row)
 
 
 def format_candles(series: CandleSeries) -> str:

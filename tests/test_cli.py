@@ -260,6 +260,23 @@ class TestInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "inputs, named",
+        [
+            (["market", "market"], "alpha.csv"),
+            (["market", "market/beta.csv"], "beta.csv"),
+            (["market/alpha.csv", "market"], "alpha.csv"),
+        ],
+        ids=["directory-twice", "file-in-directory", "file-then-directory"],
+    )
+    def test_file_given_twice_is_an_error(self, market_dir, tmp_path, capsys, monkeypatch, inputs, named):
+        # its samples would be pooled twice
+        monkeypatch.chdir(tmp_path)
+        argv = ["stats", *(arg for path in inputs for arg in ("--input", path)), "--output", "out"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: input file market/{named} is given twice\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_fixture_sweep_two_cells(self, market_dir, tmp_path):
@@ -363,6 +380,11 @@ class TestSubcommandOptions:
         "argv",
         [
             ["detect", "--input", "m", "--direction", "up"],
+            # only trade-eval and synth draw random numbers
+            ["detect", "--input", "m", "--seed", "1"],
+            ["stats", "--input", "m", "--seed", "1"],
+            ["sweep", "--input", "m", "--seed", "1"],
+            ["backtest", "--input", "m", "--entry", "0.5", "--target", "1", "--seed", "1"],
             [*TestTradeEval.ARGS, "--scaling", "1"],
             [*TestTradeEval.ARGS, "--direction", "up"],
             ["synth", "--output", "o.csv", "--scaling", "1"],

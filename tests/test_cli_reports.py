@@ -1,4 +1,4 @@
-"""Pinned report bytes and the up-front option checks of RunConfig.validate."""
+"""Pinned report bytes and the up-front option checks RunConfig makes on construction."""
 import hashlib
 
 import pytest
@@ -134,9 +134,9 @@ def test_rejected_before_any_input_is_read(tmp_path, capsys, argv, named):
 
 def test_smallest_scaling_accepted():
     # 9 * (1/9) == 1.0: the signal period is exactly 1
-    RunConfig("detect", inputs=["x"], scalings=[1 / 9]).validate()
+    RunConfig("detect", inputs=["x"], scalings=[1 / 9])
     with pytest.raises(ValueError, match="--scaling"):
-        RunConfig("detect", inputs=["x"], scalings=[0.111]).validate()
+        RunConfig("detect", inputs=["x"], scalings=[0.111])
 
 
 def test_scaling_count_limit_is_inclusive():
@@ -157,24 +157,17 @@ def test_huge_scaling_grid_rejected_unbuilt(monkeypatch, text):
 
 
 def test_bin_count_limit_is_inclusive():
-    at_limit = RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, float(MAX_HIST_BINS)), bin_width=1.0)
-    at_limit.validate()
-    above = RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, MAX_HIST_BINS + 1.0), bin_width=1.0)
+    RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, float(MAX_HIST_BINS)), bin_width=1.0)
     with pytest.raises(ValueError, match="--range/--bin-width"):
-        above.validate()
+        RunConfig("stats", inputs=["x"], variables=[RETRACEMENT], hist_range=(0.0, MAX_HIST_BINS + 1.0), bin_width=1.0)
 
 MISSING = ["--input", "missing.csv"]
 # (arguments, texts the error line must contain); a repeated option overrides
 # its earlier value in LAW or TRADE
 REJECTED_RUN_OPTIONS = [
-    *(([*argv, "--seed", "-1"], ["--seed", "-1"]) for argv in (
-        ["detect", *MISSING],
-        ["stats", *MISSING],
-        ["sweep", *MISSING],
-        ["backtest", *MISSING, *TRADE],
-        ["trade-eval", *LAW, *TRADE],
-        ["synth"],
-    )),
+    (["trade-eval", *LAW, *TRADE, "--seed", "-1"], ["--seed", "-1"]),
+    (["synth", "--seed", "-1"], ["--seed", "-1"]),
+    (["stats", *MISSING, "--variable", "retracement", "--variable", "retracement"], ["repeated", "--variable", "retracement"]),
     (["trade-eval", *LAW, *TRADE, "--mc-samples", "5000"], ["--mc-samples", "5000"]),
     (["trade-eval", *LAW, *TRADE, "--mc-samples", "9999"], ["--mc-samples", "9999"]),
     (["trade-eval", *LAW, *TRADE, "--mc-samples", str(MAX_MC_SAMPLES + 1)], ["--mc-samples", str(MAX_MC_SAMPLES + 1)]),

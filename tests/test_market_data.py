@@ -2,7 +2,7 @@ import copy
 import gc
 import pickle
 import tracemalloc
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -294,6 +294,17 @@ class TestColumnParse:
             parse_candles("\n".join(lines), "gbm")
         assert info.value.row == row
 
+    def test_row_scan_halves_the_rejected_piece(self, monkeypatch):
+        # the scan that names the first malformed row calls the reader O(log n) times, not once per row
+        lines = _gbm_lines(50_000)
+        lines[-1] = ",".join(lines[-1].split(",")[:4] + ["x"])
+        calls = []
+        loadtxt = market_data._loadtxt
+        monkeypatch.setattr(market_data, "_loadtxt", lambda *args: calls.append(len(args[0])) or loadtxt(*args))
+        with pytest.raises(CandleParseError, match="^non-numeric price at row 50000$"):
+            parse_candles("\n".join(lines), "gbm")
+        assert len(calls) <= 40
+
 
 def test_read_peak_memory_under_twice_the_series(tmp_path):
     # numpy reports its buffers to tracemalloc. Reading a piece at a time
@@ -337,8 +348,25 @@ class TestContainers:
             ((0, 2, 1, 3), [9.0, 9.0, 12.0, 9.0], 2, "invalid OHLC bar at index 2: high < low"),
             ((1, date(2020, 1, 1), 3, 4), [9.0] * 4, 1, "mixed timestamp types at index 1"),
             ((1, 2, 2, date(2020, 1, 1)), [9.0] * 4, 2, "non-increasing timestamp at index 2"),
+            # stored as given or not at all: numpy would store 0.5 as 0, "1" as 1 and a datetime as its day
+            ((0.5, 1.5, 2.5, 3.5), [9.0] * 4, 0, "timestamp neither an integer nor a date at index 0"),
+            (("1", "2", "3", "4"), [9.0] * 4, 0, "timestamp neither an integer nor a date at index 0"),
+            ((True, 2, 3, 4), [9.0] * 4, 0, "timestamp neither an integer nor a date at index 0"),
+            ((0, 1, 2.0, 3), [9.0] * 4, 2, "timestamp neither an integer nor a date at index 2"),
+            ((0, 1, 2, 2**63), [9.0] * 4, 3, "timestamp neither an integer nor a date at index 3"),
+            ((date(2020, 1, 1), datetime(2020, 1, 2, 12), date(2020, 1, 3), date(2020, 1, 4)), [9.0] * 4, 1,
+             "timestamp neither an integer nor a date at index 1"),
+            (np.arange(4, dtype=float), [9.0] * 4, 0, "timestamp neither an integer nor a date at index 0"),
+            (np.arange(4).astype("datetime64[s]"), [9.0] * 4, 0, "timestamp neither an integer nor a date at index 0"),
+            ((0, 1.5, 1, 2), [9.0] * 4, 1, "timestamp neither an integer nor a date at index 1"),
+            ((0.5, 1, 2, 3), [9.0, 12.0, 9.0, 9.0], 0, "timestamp neither an integer nor a date at index 0"),
+            ((0, 1.5, 2, 3), [12.0, 9.0, 9.0, 9.0], 0, "invalid OHLC bar at index 0: high < low"),
         ],
-        ids=["timestamp-first", "ohlc-first", "same-index", "mixed-types", "non-increasing-before-mixed"],
+        ids=[
+            "timestamp-first", "ohlc-first", "same-index", "mixed-types", "non-increasing-before-mixed",
+            "floats", "strings", "bool", "float-among-ints", "outside-int64", "datetime",
+            "float-array", "datetime64-seconds", "bad-type-before-ohlc", "bad-type-first", "ohlc-before-bad-type",
+        ],
     )
     def test_series_names_first_bad_index(self, timestamps, low, index, message):
         with pytest.raises(BarError, match=f"^{message}$") as info:
@@ -366,6 +394,11 @@ class TestContainers:
         # compared, not differenced: the difference of the int64 limits overflows
         bars = CandleSeries("x", (-(2**63), 2**63 - 1), *ohlc)
         assert bars.timestamps.dtype == np.int64
+        # an integer array becomes int64 (uint64 item by item); a datetime64[D] array is kept
+        for dtype in (np.int32, np.uint8, np.uint64):
+            narrow = CandleSeries("x", np.array([3, 4], dtype=dtype), *ohlc)
+            assert narrow.timestamps.dtype == np.int64 and narrow.timestamps.tolist() == [3, 4]
+        assert CandleSeries("x", days.timestamps, *ohlc).timestamps is days.timestamps
         for series in (days, bars, synth_gbm(100.0, 0.0, 0.01, 10, seed=1)):
             with pytest.raises(ValueError):
                 series.timestamps[0] = series.timestamps[1]

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +176,22 @@ def test_symbol_holding_a_carriage_return_reads_back(tmp_path, monkeypatch):
         header, *rows = csv.reader(io.StringIO(text.split("\n", 1)[1], newline=""))
         assert rows and all(len(row) == len(header) for row in rows), name
         assert {row[0] for row in rows} == {stem}, name
+
+
+def test_every_report_is_written_without_newline_translation(tmp_path, monkeypatch):
+    # with the platform's translation every JSON line would end in os.linesep, "\r\n" on Windows
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 800, seed=1, symbol="g1"), tmp_path / "market" / "g1.csv")
+    opened = []
+    path_open = Path.open
+
+    def spy(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append((self.name, kwargs.get("newline")))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy)
+    assert main(["stats", "--input", "market", "--scaling", "1", "--output", "stats"]) == 0
+    assert main(["detect", "--input", "market", "--scaling", "1", "--output", "detect"]) == 0
+    assert sorted(opened) == [(name, "") for name in ("detect.json", "fits.json", "histograms.csv", "samples.csv")]
