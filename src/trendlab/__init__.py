@@ -50,6 +50,7 @@ from .trend import (
     LineFit,
     SampleBatch,
     TrendPhase,
+    TrendPhases,
     TrendSample,
     detect_trends,
     extract_samples,

@@ -64,6 +64,7 @@ DEFAULT_SWEEP = "0.5:5:0.1"
 DEFAULT_MC_SAMPLES = 1_000_000
 # trade-eval --mc-samples; the Monte Carlo holds ~8 bytes per draw, ~0.8 GB here
 MAX_MC_SAMPLES = 100_000_000
+MAX_SYNTH_BARS = 2_000_000  # synth --bars; writing the file holds ~400 bytes a bar, ~0.8 GB here
 # histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
 MAX_HIST_BINS = 1_000_000
 # cells of a sweep --scalings grid; every cell is one detection per input file
@@ -200,10 +201,8 @@ def _runs(cfg: RunConfig) -> tuple[str, Iterator[tuple[CandleSeries, float]]]:
 
 
 def _detect_one(series, scaling: float):
-    sar = macd_sar(series, ScalingConfig(scaling))
-    mm = run_minmax(series, sar)
-    phases = trend_mod.detect_trends(mm)
-    return mm, phases
+    mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
+    return mm, trend_mod.detect_trends(mm)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -497,7 +496,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     def gaps(series, scaling):
         mm, phases = _detect_one(series, scaling)
-        return scaling, trend_mod.period_gaps(mm, [p for p in phases if cfg.direction in ("both", p.direction)])
+        return scaling, trend_mod.period_gaps(mm, phases.select(_directions(cfg)))
 
     for scaling, run_gaps in starmap(gaps, runs):
         cell_gaps[scaling].extend(run_gaps)
@@ -613,6 +612,8 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     for option, value in (("--bars", args.bars), ("--swings", args.swings)):
         if value < 1:
             raise ValueError(f"bad {option} {value}: need at least 1")
+    if args.bars > MAX_SYNTH_BARS:
+        raise ValueError(f"bad --bars {args.bars}: need at most {MAX_SYNTH_BARS} bars (MAX_SYNTH_BARS)")
     if not (math.isfinite(args.s0) and args.s0 > 0.0):
         raise ValueError(f"bad --s0 {args.s0!r}: need a finite price > 0")
     if not (math.isfinite(args.vol) and args.vol >= 0.0):

@@ -165,13 +165,11 @@ def backtest_anticyclic(
     A correction still open at the end of the series is tallied as truncated
     when its entry level was already hit.
     """
-    sar = macd_sar(series, ScalingConfig(scaling))
-    mm = run_minmax(series, sar)
-    phases = [ph for ph in trend_mod.detect_trends(mm) if ph.direction in directions]
-    phase, a, is_correction, size, previous = trend_mod.legs(mm, phases)
+    mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
+    phases = trend_mod.detect_trends(mm).select(directions)
+    down, a, is_correction, size, previous = trend_mod.legs(mm, phases)
     # down-trend legs are read mirrored, prices negated (IEEE negation is
     # exact, so bit for bit): every correction then falls from its start point
-    down = np.array([ph.direction == trend_mod.DOWN for ph in phases], dtype=bool)[phase]
     sign = np.where(down, -1.0, 1.0)
 
     # correction legs from point a to b = a + 1, after the movement ending at a
@@ -203,7 +201,7 @@ def backtest_anticyclic(
     # exit: the open phase ends at the final point k, its last leg moved into
     # k, and the correction from k runs on to the series' end
     truncated = 0
-    if a.size and phases[-1].violation_point_index is None and not is_correction[-1] and size[-1] > 0.0:
+    if a.size and phases.violation[-1] < 0 and not is_correction[-1] and size[-1] > 0.0:
         k = a[-1:] + 1
         entry = sign[-1:] * mm.price[k] - spec.entry * size[-1:]
         [touch] = _first_touches(series, down[-1:], mm.bar[k] + 1, len(series) - 1, entry)

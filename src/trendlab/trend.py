@@ -21,12 +21,12 @@ The violator rule follows from the runs: a violator starts a new run, and a
 run establishes a phase only at its second step, so a violator never
 establishes a trend itself.
 
-``legs`` is the one place leg geometry is derived: one numpy expansion of
-each phase's point range gives the completed legs as columns (phase, start
-point, movement/correction test, signed size, previous leg's size).
-``period_gaps`` reads the same expansion to list the bar gaps between
-same-kind points inside phases; a trend period is their mean over whatever
-pool the caller chooses (``sweep`` pools every file of one scaling).
+``detect_trends`` returns ``TrendPhases`` columns; ``legs`` is the one place
+leg geometry is derived: one numpy expansion of the phases' point ranges gives
+the completed legs as columns (direction, start point, movement/correction
+test, signed size, previous leg's size). ``period_gaps`` reads the expansion
+too, for the bar gaps between same-kind points inside phases; a trend period
+is their mean over the caller's pool (``sweep`` pools every file of a scaling).
 
 ``extract_samples`` is a table of seven (variable, value column, emitted
 mask) rows over the leg columns. Per completed leg it emits, in this order,
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,38 @@ class TrendPhase:
     violation_point_index: Optional[int]
     start_detection_bar: int
     end_detection_bar: int
+
+
+@dataclass(frozen=True, eq=False)
+class TrendPhases:
+    """Trend phases as read-only columns, one row per phase; iteration builds TrendPhase rows.
+
+    ``down`` (True for a down-trend) is the code into DIRECTIONS; ``violation`` is -1 while open.
+    """
+
+    down: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    established: np.ndarray
+    violation: np.ndarray
+    start_detection_bar: np.ndarray
+    end_detection_bar: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.down)
+
+    def __iter__(self):
+        for down, start, end, established, violation, *bars in zip(*(c.tolist() for c in vars(self).values())):
+            yield TrendPhase(DIRECTIONS[down], start, end, established, violation if violation >= 0 else None, *bars)
+
+    def select(self, directions: Collection[str]) -> TrendPhases:
+        """The phases whose direction is in ``directions``; an unknown name selects nothing."""
+        keep = np.isin(self.down, [_DIRECTION_CODE.get(d, -1) for d in directions])
+        return TrendPhases(*(column[keep] for column in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -150,7 +182,7 @@ class SampleBatch:
         return np.column_stack((self.value[mask_a][at[found]], self.value[mask_b][found]))
 
 
-def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
+def detect_trends(mm: MinMaxProcess) -> TrendPhases:
     """Non-overlapping trend phases, one per run of two or more equal nonzero steps.
 
     Depends only on the point sequence, never on prices between points. A
@@ -170,53 +202,47 @@ def detect_trends(mm: MinMaxProcess) -> list[TrendPhase]:
     k0, k1 = head[run], tail[run]
     # the establishing quadruple's first point, or the one after the previous phase's end
     start = np.maximum(k0 - 2, np.append(-1, k1)[:-1] + 1)
-    # the point after the run, or the run's own end while the phase is open
-    closing = np.minimum(k1 + 1, n - 1)
-    columns = (step[k0] < 0, start, k1, k0 + 1, closing, mm.detection_bar[k0 + 1], mm.detection_bar[closing])
-    return [
-        TrendPhase(DIRECTIONS[down], s, e, x, v if v > e else None, b0, b1)
-        for down, s, e, x, v, b0, b1 in zip(*(column.tolist() for column in columns))
-    ]
+    # the point after the run, or -1 while the phase is open
+    violation = np.where(k1 + 1 < n, k1 + 1, -1)
+    bars = mm.detection_bar
+    return TrendPhases(step[k0] < 0, start, k1, k0 + 1, violation, bars[k0 + 1], bars[np.maximum(violation, k1)])
 
 
-def _ranges(starts: Sequence[int], stops: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(k, i)`` for every i in range(starts[k], stops[k]), k in order, as two int64 columns."""
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
+    counts = np.maximum(stops - starts, 0)
     k = np.repeat(np.arange(counts.size), counts)
     # position in the expansion minus the position of the range's first row
     return k, np.arange(k.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
-def legs(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> tuple[np.ndarray, ...]:
-    """Leg columns ``(phase, a, is_correction, size, previous)``, one row per completed leg a -> a + 1.
+def legs(mm: MinMaxProcess, phases: TrendPhases) -> tuple[np.ndarray, ...]:
+    """Leg columns ``(down, a, is_correction, size, previous)``, one row per completed leg a -> a + 1.
 
-    ``phase`` indexes ``phases``. A phase's legs run from its start point to
-    its violation point, or to its end point while it is open. A correction
-    starts at a high in an up-trend (a low in a down-trend). ``size`` is
-    ``b - a`` into a high and ``a - b`` into a low (IEEE negation is exact,
-    so bit for bit); ``previous`` is the size of the leg ending at ``a``,
-    NaN when ``a == 0``.
+    ``down`` is True where the leg's phase is a down-trend. A phase's legs
+    run from its start point to its violation point, or to its end point
+    while it is open. A correction starts at a high in an up-trend (a low in
+    a down-trend). ``size`` is ``b - a`` into a high and ``a - b`` into a low
+    (IEEE negation is exact, so bit for bit); ``previous`` is the size of the
+    leg ending at ``a``, NaN when ``a == 0``.
     """
-    phase, a = _ranges(
-        [ph.start_point_index for ph in phases],
-        [ph.end_point_index if ph.violation_point_index is None else ph.violation_point_index for ph in phases],
-    )
-    up = np.array([ph.direction == UP for ph in phases], dtype=bool)
+    # an open phase's violation, -1, is below its end
+    phase, a = _ranges(phases.start, np.maximum(phases.violation, phases.end))
+    down = phases.down[phase]
     diff = np.diff(mm.price)
     # the size of leg j -> j + 1 at j + 1, NaN at 0
     sizes = np.concatenate(([math.nan], np.where(mm.high[1:], diff, -diff)))
-    return phase, a, mm.high[a] == up[phase], sizes[a + 1], sizes[a]
+    return down, a, mm.high[a] != down, sizes[a + 1], sizes[a]
 
 
 def extract_samples(
     mm: MinMaxProcess,
-    phases: Sequence[TrendPhase],
+    phases: TrendPhases,
     series: CandleSeries,
     scaling: float = float("nan"),
 ) -> SampleBatch:
     """Emit per-leg trend variables for every completed leg inside a phase."""
-    phase, a, is_correction, size, previous = legs(mm, phases)
+    down, a, is_correction, size, previous = legs(mm, phases)
     a_price, delay = mm.price[a], mm.d_abs[a + 1]
     completed = size > 0.0
     movement = completed & ~is_correction
@@ -237,11 +263,10 @@ def extract_samples(
     )
     emitted = np.column_stack([mask for _, _, mask in table])
     leg, column = np.nonzero(emitted)
-    direction = np.array([_DIRECTION_CODE[ph.direction] for ph in phases], dtype=np.int8)
     return SampleBatch(
         event=leg + 1,
         variable=np.array([code for code, _, _ in table], dtype=np.int8)[column],
-        direction=direction[phase[leg]],
+        direction=down[leg].astype(np.int8),
         value=np.column_stack([value for _, value, _ in table])[emitted],
         symbol=series.symbol,
         scaling=scaling,
@@ -250,9 +275,9 @@ def extract_samples(
     )
 
 
-def period_gaps(mm: MinMaxProcess, phases: Sequence[TrendPhase]) -> list[int]:
+def period_gaps(mm: MinMaxProcess, phases: TrendPhases) -> list[int]:
     """Bar gaps between consecutive same-kind points lying inside a phase."""
-    _, i = _ranges([ph.start_point_index for ph in phases], [ph.end_point_index - 1 for ph in phases])
+    _, i = _ranges(phases.start, phases.end - 1)
     return (mm.bar[i + 2] - mm.bar[i]).tolist()
 
 

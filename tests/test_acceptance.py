@@ -85,7 +85,7 @@ def test_criterion_2_fixture_fidelity():
     phases = detect_trends(mm)
     assert len(phases) == 1
     for key, value in fx.MULTI_SWING_PHASE.items():
-        assert getattr(phases[0], key) == value, key
+        assert getattr(list(phases)[0], key) == value, key
     batch = extract_samples(mm, phases, series, scaling=1.0)
     for variable, expected in fx.MULTI_SWING_SAMPLES.items():
         assert batch.values(variable, "up").tolist() == expected, variable
@@ -99,7 +99,7 @@ def test_criterion_2_fixture_fidelity():
     )
     phases = detect_trends(mm)
     for key, value in fx.MIRROR_SWING_PHASE.items():
-        assert getattr(phases[0], key) == value, key
+        assert getattr(list(phases)[0], key) == value, key
     batch = extract_samples(mm, phases, series, scaling=1.0)
     for variable, expected in fx.MIRROR_SWING_SAMPLES.items():
         assert batch.values(variable, "down").tolist() == expected, variable

@@ -23,6 +23,7 @@ from trendlab import (
 )
 from trendlab.minmax import HIGH
 from trendlab.trend import DOWN, UP
+from hypothesis_counts import examples
 import swing_fixtures as fx
 
 DIRECTION_SETS = [(UP,), (DOWN,), (UP, DOWN)]
@@ -31,7 +32,7 @@ DIRECTION_SETS = [(UP,), (DOWN,), (UP, DOWN)]
 def reference_backtest(series, scaling, spec, directions):
     """(trades, degenerate, truncated), one correction at a time from mm.points."""
     mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
-    phases = detect_trends(mm)
+    phases = list(detect_trends(mm))
     pts = mm.points
     lows, highs = series.low.tolist(), series.high.tolist()
 
@@ -112,7 +113,7 @@ direction_sets = st.sampled_from(DIRECTION_SETS)
     specs,
     direction_sets,
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_gbm_matches_reference(seed, scaling, vol, spec, directions):
     assert_matches_reference(synth_gbm(100.0, 0.0, vol, 800, seed=seed), scaling, spec, directions)
 
@@ -123,7 +124,7 @@ def test_gbm_matches_reference(seed, scaling, vol, spec, directions):
     specs,
     direction_sets,
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_gapped_path_matches_reference(seed, scaling, spec, directions):
     assert_matches_reference(fx.gapped_series(seed, 400), scaling, spec, directions)
 
@@ -142,7 +143,7 @@ def test_gapped_cases_reach_every_rule():
                 seen["degenerate"] += result.degenerate
                 seen["truncated"] += result.truncated
             mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
-            phases = detect_trends(mm)
+            phases = list(detect_trends(mm))
             if phases and phases[0].start_point_index == 0:
                 seen["first_point_correction"] += bool(mm.high[0]) == (phases[0].direction == UP)
     assert all(seen.values()), seen

@@ -3,9 +3,9 @@ import hashlib
 
 import pytest
 
-from trendlab import ExtremumPoint, synth_gbm, synth_trend_series, write_candle_file
+from trendlab import ExtremumPoint, TrendPhase, synth_gbm, synth_trend_series, write_candle_file
 from trendlab import cli
-from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, MAX_SCALINGS, RunConfig, main, parse_scaling_range
+from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, MAX_SCALINGS, MAX_SYNTH_BARS, RunConfig, main, parse_scaling_range
 from trendlab.trend import RETRACEMENT
 
 # sha256 of the stats reports for the market built in test_stats_reports_pinned,
@@ -52,6 +52,35 @@ def test_detect_and_backtest_reports_pinned(tmp_path, monkeypatch):
     assert digests == DETECT_BACKTEST_DIGESTS
 
 
+# sha256 of the sweep and backtest reports of one direction each, for the
+# market of test_detect_and_backtest_reports_pinned, computed with the
+# per-phase direction filters that preceded TrendPhases.select
+DIRECTION_DIGESTS = {
+    "sweep_up/sweep.csv": "1fafbd1faebd4d4f2494e9c474d328cc77f7a82da36e86af211680ae86a3c507",
+    "sweep_up/sweep_fit.json": "7ea4347a36206a1d28e31878b5e9cf0cecc5445aedf3f43c6eddbcf9c239ce7e",
+    "backtest_up/backtest.json": "20ac97ab7140ef12e634954a3299d8566ed1832fa9748fb2520246776bf1a591",
+    "sweep_down/sweep.csv": "7639e598fdb615796e217b50897d126ae6c31efa646a1ce4510f04b746d75a95",
+    "sweep_down/sweep_fit.json": "f21eba0228236ae019352a7859b31f71a07c8fa5423229d937dc02f1c7e31a46",
+    "backtest_down/backtest.json": "26114e622058de4eabbaa646baab92fae5abcdae8713d6d2d04de02c4f3fb312",
+}
+
+
+def test_direction_reports_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    write_candle_file(synth_gbm(100.0, 0.0002, 0.02, 2000, seed=5, symbol="g5"), tmp_path / "market" / "g5.csv")
+    planted, _ = synth_trend_series(swings=60, seed=7, symbol="planted")
+    write_candle_file(planted, tmp_path / "market" / "planted.csv")
+    trade = ["--scaling", "1", "--scaling", "1.5", "--entry", "0.382", "--target", "1.0"]
+    for direction in ("up", "down"):
+        sweep = ["sweep", "--input", "market", "--scalings", "0.5:3:0.25", "--direction", direction]
+        assert main([*sweep, "--output", f"sweep_{direction}"]) == 0
+        backtest = ["backtest", "--input", "market", *trade, "--direction", direction]
+        assert main([*backtest, "--output", f"backtest_{direction}"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIRECTION_DIGESTS}
+    assert digests == DIRECTION_DIGESTS
+
+
 LAW = ["--mu-x", "-0.6", "--sigma-x", "0.3", "--mu-d", "-0.7", "--sigma-d", "0.15", "--rho", "0.6"]
 TRADE = ["--entry", "0.382", "--target", "1.0"]
 
@@ -75,9 +104,10 @@ def test_trade_eval_reports_pinned(tmp_path, monkeypatch):
 
 
 def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
-    # every command reads the MinMaxProcess columns; a row is built only on request
+    # every command reads the MinMaxProcess and TrendPhases columns; a row is
+    # built only on request, and only detect's report asks for phase rows
     def refuse(self, *args):
-        raise RuntimeError("an ExtremumPoint row was built")
+        raise RuntimeError(f"a {type(self).__name__} row was built")
 
     monkeypatch.setattr(ExtremumPoint, "__init__", refuse)
     monkeypatch.chdir(tmp_path)
@@ -92,7 +122,10 @@ def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
         ["backtest", "--scaling", "1", "--direction", "both", "--entry", "0.382", "--target", "1.0"],
     ]
     for argv in commands:
-        assert main([*argv, "--input", "market", "--output", argv[0]]) == 0
+        with monkeypatch.context() as patch:
+            if argv[0] != "detect":
+                patch.setattr(TrendPhase, "__init__", refuse)
+            assert main([*argv, "--input", "market", "--output", argv[0]]) == 0
     with pytest.raises(RuntimeError):
         ExtremumPoint("low", 1.0, 0, 0, 1.0, 0.0)
 
@@ -184,6 +217,7 @@ REJECTED_RUN_OPTIONS = [
     (["backtest", *MISSING, "--entry", "-0.5", "--target", "1"], ["--entry", "-0.5"]),
     (["backtest", *MISSING, "--entry", "0.5", "--target", "0.5"], ["--target", "0.5", "--entry", "0.5"]),
     (["synth", "--bars", "0"], ["--bars", "0"]),
+    (["synth", "--bars", str(MAX_SYNTH_BARS + 1), "--drift", "0"], ["--bars", str(MAX_SYNTH_BARS + 1), "at most"]),
     (["synth", "--kind", "trends", "--swings", "-3"], ["--swings", "-3"]),
     (["synth", "--s0", "-5"], ["--s0", "-5.0"]),
     (["synth", "--s0", "inf"], ["--s0", "inf"]),

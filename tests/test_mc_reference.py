@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import BivariateLogNormalParams, TradeSpec, simulate_expected_return
 from trendlab.trading import MC_BLOCK
+from hypothesis_counts import examples
 
 
 def one_shot_simulate(params, spec, n=1_000_000, seed=0):
@@ -55,7 +56,7 @@ FEW_OPENED = BivariateLogNormalParams(-1.0, -1.0, 0.36, 0.2, 0.6)
 
 
 @pytest.mark.parametrize("n", [10_000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 17, 10**6])
-@settings(max_examples=20)
+@settings(max_examples=examples(20))
 @given(params=LAWS, spec=SPECS, seed=st.integers(0, 2**32))
 def test_blocked_matches_one_shot(n, params, spec, seed):
     assert outcome(simulate_expected_return, params, spec, n, seed) == outcome(one_shot_simulate, params, spec, n, seed)

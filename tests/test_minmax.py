@@ -9,6 +9,7 @@ from trendlab import (
     run_minmax,
     synth_gbm,
 )
+from hypothesis_counts import examples
 import swing_fixtures as fx
 
 
@@ -101,7 +102,7 @@ class TestSarDriven:
 
 class TestProperties:
     @given(st.integers(min_value=0, max_value=60))
-    @settings(max_examples=30)
+    @settings(max_examples=examples(30))
     def test_alternation_and_ordering(self, seed):
         series = synth_gbm(100.0, 0.0, 0.02, 600, seed=seed)
         mm = pipeline(series)
@@ -115,7 +116,7 @@ class TestProperties:
                 assert point.detection_bar >= mm.points[i - 1].detection_bar
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=40, max_value=590))
-    @settings(max_examples=30)
+    @settings(max_examples=examples(30))
     def test_prefix_replay_preserves_fixed_points(self, seed, cut):
         series = synth_gbm(100.0, 0.0, 0.02, 600, seed=seed)
         full = pipeline(series)
@@ -124,7 +125,7 @@ class TestProperties:
         assert list(prefix.points) == expected
 
     @given(st.integers(min_value=0, max_value=40))
-    @settings(max_examples=20)
+    @settings(max_examples=examples(20))
     def test_high_is_max_over_search_span(self, seed):
         # each fixed high equals the max candle high on (previous point's bar,
         # detection bar]; mirrored for lows

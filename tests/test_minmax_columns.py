@@ -17,6 +17,7 @@ from trendlab import (
 )
 from trendlab.minmax import COLUMNS
 from swing_fixtures import sar_from_values, sar_values
+from hypothesis_counts import examples
 
 
 def naive_minmax(series, sar):
@@ -149,18 +150,18 @@ class TestNaiveOracle:
         st.floats(min_value=1 / 9, max_value=3.0),
         st.sampled_from([0.005, 0.02, 0.05]),
     )
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     def test_gbm(self, seed, scaling, vol):
         series = synth_gbm(100.0, 0.0, vol, 500, seed=seed)
         assert_matches_naive(series, macd_sar(series, ScalingConfig(scaling)))
 
     @given(tied_market())
-    @settings(max_examples=150)
+    @settings(max_examples=examples(150))
     def test_ties_and_flat_stretches(self, market):
         assert_matches_naive(*market)
 
     @given(wick_market())
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_wicks_and_long_runs(self, market):
         assert_matches_naive(*market)
         assert_matches_naive(*mirrored(*market))
@@ -205,7 +206,7 @@ class TestNaiveOracle:
         assert mm.bar.tolist() == [2, 6]
 
     @given(tied_market(), st.data())
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_prefix_replay(self, market, data):
         series, sar = market
         cut = data.draw(st.integers(min_value=0, max_value=len(series)))

@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import CandleParseError, format_candles, parse_candles, read_candle_file, synth_gbm
 from trendlab import market_data
+from hypothesis_counts import examples
 
 ISO = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 INT = re.compile(r"[+-]?[0-9]+")
@@ -152,7 +153,7 @@ def assert_timestamps(column, timestamps):
     assert [type(t) for t in column.tolist()] == [type(t) for t in timestamps]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(candle_files())
 def test_parse_matches_two_pass_reference(text):
     expected = reference_parse(text)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from trendlab import synth_gbm, synth_trend_series, write_candle_file
 from trendlab.cli import _csv_join, _json_text, _write_json, main
+from hypothesis_counts import examples
 
 # the characters that decide CSV quoting and JSON escaping, plus non-ASCII ones
 SPECIAL = ',"\r\n\t\\{}[]: \x00\x1f\x7féλ \U0001f600'
@@ -38,7 +39,7 @@ payloads = st.recursive(
 )
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(payload=payloads)
 def test_json_text_is_json_dumps(tmp_path_factory, payload):
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -47,7 +48,7 @@ def test_json_text_is_json_dumps(tmp_path_factory, payload):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(
     filled=st.dictionaries(keys, payloads, max_size=2),
     # empty, one item and many: each list is handed to the writer as an iterator
@@ -112,7 +113,7 @@ def test_json_rejects_what_json_rejects(bad, place):
         _json_text(payload)
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(row=st.lists(texts, min_size=2, max_size=6))
 def test_csv_join_is_csv_writer(row):
     # the "\r\n" writer quotes a field holding "\r" on every Python version
@@ -121,7 +122,7 @@ def test_csv_join_is_csv_writer(row):
     assert _csv_join(row) + "\r\n" == buf.getvalue()
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(rows=st.lists(st.lists(st.text(alphabet=',"\r\n xé', max_size=6), min_size=2, max_size=4), max_size=4))
 def test_csv_rows_read_back(rows):
     text = "".join(_csv_join(row) + "\n" for row in rows)

@@ -36,23 +36,25 @@ from trendlab.trend import (
     REL_CORRECTION,
     REL_MOVEMENT,
     RETRACEMENT,
+    DOWN,
     UP,
     VARIABLES,
     legs,
 )
+from hypothesis_counts import examples
 import swing_fixtures as fx
 
 
 def reference_legs(mm, phases):
-    """``(phase, a, is_correction, size, previous)`` per completed leg, one Python tuple at a time."""
+    """``(down, a, is_correction, size, previous)`` per completed leg, one Python tuple at a time."""
     high = mm.high.tolist()
     diff = np.diff(mm.price)
     size = np.where(mm.high[1:], diff, -diff).tolist()
-    for p, ph in enumerate(phases):
+    for ph in phases:
         up = ph.direction == UP
         last = ph.violation_point_index if ph.violation_point_index is not None else ph.end_point_index
         for a in range(ph.start_point_index, last):
-            yield p, a, high[a] == up, size[a], size[a - 1] if a else math.nan
+            yield not up, a, high[a] == up, size[a], size[a - 1] if a else math.nan
 
 
 def reference_gaps(mm, phases):
@@ -144,28 +146,31 @@ def detected(series, scaling):
 
 
 @given(markets())
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 def test_leg_columns_match_generator(market):
     mm, phases = detected(*market)
-    for chosen in (phases, [ph for ph in phases if ph.direction == UP]):
-        phase, a, is_correction, size, previous = legs(mm, chosen)
+    # select keeps the rows a filter on the direction name keeps
+    for directions in ([UP], [DOWN], [UP, DOWN]):
+        assert list(phases.select(directions)) == [ph for ph in phases if ph.direction in directions]
+    for chosen in (phases, phases.select([UP])):
+        down, a, is_correction, size, previous = legs(mm, chosen)
         want = list(reference_legs(mm, chosen))
-        assert (phase.dtype, a.dtype, is_correction.dtype) == (np.int64, np.int64, np.bool_)
-        assert list(zip(phase.tolist(), a.tolist(), is_correction.tolist())) == [row[:3] for row in want]
+        assert (down.dtype, a.dtype, is_correction.dtype) == (np.bool_, np.int64, np.bool_)
+        assert list(zip(down.tolist(), a.tolist(), is_correction.tolist())) == [row[:3] for row in want]
         assert bits(size) == bits([row[3] for row in want])
         assert bits(previous) == bits([row[4] for row in want])
 
 
 @given(markets())
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 def test_period_gaps_match_nested_loop(market):
     mm, phases = detected(*market)
-    for chosen in (phases, [ph for ph in phases if ph.direction == UP]):
+    for chosen in (phases, phases.select([UP])):
         assert period_gaps(mm, chosen) == reference_gaps(mm, chosen)
 
 
 @given(markets())
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 def test_columns_match_row_reference(market):
     series, scaling = market
     mm, phases = detected(series, scaling)
@@ -220,7 +225,8 @@ def test_gapped_markets_reach_every_skip_rule():
 
 def test_batch_without_phases_is_empty():
     series = synth_gbm(100.0, 0.0, 0.02, 10, seed=1)
-    batch = extract_samples(fx.process([]), [], series, scaling=1.0)
+    mm = fx.process([])
+    batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
     assert len(batch) == 0 and list(batch) == []
     assert batch.values(RETRACEMENT).dtype == np.float64 and batch.values(RETRACEMENT).size == 0
     assert_same_pairs(batch.linked_pairs(RETRACEMENT, DELAY_X), np.empty((0, 2)))
@@ -229,8 +235,11 @@ def test_batch_without_phases_is_empty():
 def test_unknown_names_select_nothing():
     series = synth_gbm(100.0, 0.0, 0.02, 2000, seed=3)
     mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
-    batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
-    assert len(batch) > 0
+    phases = detect_trends(mm)
+    batch = extract_samples(mm, phases, series, scaling=1.0)
+    assert len(batch) > 0 and len(phases) > 0
+    # a misspelt direction must not fall through to the other one
+    assert len(phases.select(["sideways", "Up", "DOWN"])) == 0 and len(phases.select([])) == 0
     assert batch.values("no_such_variable").size == 0
     assert batch.values(RETRACEMENT, "sideways").size == 0
     assert_same_pairs(batch.linked_pairs(RETRACEMENT, "no_such_variable"), np.empty((0, 2)))
@@ -255,8 +264,9 @@ def test_linked_pairs_skip_unmatched_events():
 def test_columns_are_read_only():
     series = synth_gbm(100.0, 0.0, 0.02, 800, seed=4)
     mm = run_minmax(series, macd_sar(series))
-    batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
-    assert len(batch) > 0
-    for column in (batch.event, batch.variable, batch.direction, batch.value):
+    phases = detect_trends(mm)
+    batch = extract_samples(mm, phases, series, scaling=1.0)
+    assert len(batch) > 0 and len(phases) > 0
+    for column in (batch.event, batch.variable, batch.direction, batch.value, *vars(phases).values()):
         with pytest.raises(ValueError):
             column[0] = column[0]

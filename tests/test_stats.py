@@ -23,6 +23,7 @@ from trendlab import (
     norm_cdf,
     truncated_lognormal_mean,
 )
+from hypothesis_counts import examples
 
 PHI_1 = 0.8413447460685429  # reference value of the standard normal CDF at 1
 
@@ -311,7 +312,7 @@ class TestHistogram:
         assert HistogramSpec(0.0, 5.0, 0.11).n_bins == 46
 
     @given(st.lists(st.floats(min_value=-2.0, max_value=8.0, allow_nan=False), max_size=200))
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     def test_density_mass_equals_in_range_fraction(self, values):
         spec = HistogramSpec(0.0, 5.0, 0.11)
         hist = histogram(values, spec)

@@ -37,14 +37,13 @@ markets = st.one_of(
 @given(markets, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([TradeSpec(0.382, 1.0), TradeSpec(0.5, 0.8)]))
 def test_trades_are_trade_returns_of_their_legs(series, scaling, spec):
     mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
-    phases = detect_trends(mm)
-    phase, a, is_correction, size, previous = legs(mm, phases)
+    down, a, is_correction, size, previous = legs(mm, detect_trends(mm))
     tradable = is_correction & (a > 0) & (size > 0.0) & (previous > 0.0)
     expected = []
-    for p, j, correction, movement in zip(*(column[tradable].tolist() for column in (phase, a, size, previous))):
+    for is_down, j, correction, movement in zip(*(column[tradable].tolist() for column in (down, a, size, previous))):
         outcome = trade_return(correction / movement, float(mm.d_abs[j + 1]) / movement, spec)
         if outcome is not None:
-            expected.append((phases[p].direction, outcome))
+            expected.append((DOWN if is_down else UP, outcome))
 
     trades = backtest_anticyclic(series, scaling, spec, directions=(UP, DOWN)).trades
     assert len(trades) == len(expected)

@@ -191,7 +191,7 @@ class TestBacktest:
                                  160.0 - np.arange(1.0, 11.0), 150.0 + np.arange(1.0, 21.0)])
         series = CandleSeries.from_closes("gap", closes if up else 300.0 - closes)
         mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
-        assert detect_trends(mm)[0].start_point_index == 0
+        assert list(detect_trends(mm))[0].start_point_index == 0
         assert bool(mm.high[0]) == up and mm.price[0] == mm.price[1]
         for directions in ((UP,), (DOWN,), (UP, DOWN)):
             result = backtest_anticyclic(series, 1.0, TradeSpec(0.382, 1.0), directions=directions)

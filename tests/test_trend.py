@@ -13,6 +13,7 @@ from trendlab import (
     run_minmax,
     synth_gbm,
 )
+from hypothesis_counts import examples
 import swing_fixtures as fx
 
 
@@ -26,7 +27,7 @@ class TestDetectTrends:
         mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15)])
         phases = detect_trends(mm)
         assert len(phases) == 1
-        ph = phases[0]
+        [ph] = phases
         assert ph.direction == "up"
         assert ph.start_point_index == 0
         assert ph.established_point_index == 3
@@ -37,7 +38,7 @@ class TestDetectTrends:
         mm = fx.process(
             [("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15), ("low", 103, 20)]
         )
-        ph = detect_trends(mm)[0]
+        ph = list(detect_trends(mm))[0]
         assert ph.violation_point_index == 4
         assert ph.end_point_index == 3
         assert ph.end_detection_bar == 21
@@ -46,18 +47,18 @@ class TestDetectTrends:
         mm = fx.process(
             [("low", 100, 0), ("high", 110, 5), ("low", 105, 10), ("high", 115, 15), ("low", 105, 20)]
         )
-        ph = detect_trends(mm)[0]
+        ph = list(detect_trends(mm))[0]
         assert ph.violation_point_index == 4
 
     def test_down_trend_mirrored(self):
         mm = fx.process([("high", 115, 0), ("low", 105, 5), ("high", 110, 10), ("low", 100, 15)])
-        ph = detect_trends(mm)[0]
+        ph = list(detect_trends(mm))[0]
         assert ph.direction == "down"
         assert ph.established_point_index == 3
 
     def test_no_trend_on_mixed_points(self):
         mm = fx.process([("low", 100, 0), ("high", 110, 5), ("low", 95, 10), ("high", 115, 15)])
-        assert detect_trends(mm) == []
+        assert list(detect_trends(mm)) == []
 
     def test_phases_never_overlap(self):
         # up-trend breaks, then the break low seeds an immediate down-trend
@@ -85,7 +86,7 @@ class TestDetectTrends:
         b = fx.process(
             [("low", 100, 0, 101), ("high", 110, 5, 108), ("low", 105, 10, 107), ("high", 115, 15, 112)]
         )
-        pa, pb = detect_trends(a)[0], detect_trends(b)[0]
+        [pa], [pb] = detect_trends(a), detect_trends(b)
         assert (pa.direction, pa.start_point_index, pa.established_point_index) == (
             pb.direction,
             pb.start_point_index,
@@ -142,7 +143,7 @@ class TestExtractSamples:
         phases = detect_trends(mm)
         assert len(phases) == 1
         for key, value in fx.MULTI_SWING_PHASE.items():
-            assert getattr(phases[0], key) == value, key
+            assert getattr(list(phases)[0], key) == value, key
         batch = extract_samples(mm, phases, series, scaling=1.0)
         for variable, expected in fx.MULTI_SWING_SAMPLES.items():
             assert batch.values(variable, "up").tolist() == expected, variable
@@ -154,7 +155,7 @@ class TestExtractSamples:
         phases = detect_trends(mm)
         assert len(phases) == 1
         for key, value in fx.MIRROR_SWING_PHASE.items():
-            assert getattr(phases[0], key) == value, key
+            assert getattr(list(phases)[0], key) == value, key
         batch = extract_samples(mm, phases, series, scaling=1.0)
         for variable, expected in fx.MIRROR_SWING_SAMPLES.items():
             assert batch.values(variable, "down").tolist() == expected, variable
@@ -181,7 +182,7 @@ class TestExtractSamples:
         assert xy.shape == (3, 2) and xy[:, 0].tobytes() == want[:, 0].tobytes()
 
     @given(st.integers(min_value=0, max_value=40))
-    @settings(max_examples=25)
+    @settings(max_examples=examples(25))
     def test_all_ratio_samples_positive(self, seed):
         series = synth_gbm(100.0, 0.0002, 0.02, 800, seed=seed)
         mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from trendlab import MinMaxProcess, TrendPhase, detect_trends
+from hypothesis_counts import examples
 import swing_fixtures as fx
 
 UP, DOWN = "up", "down"
@@ -93,13 +94,13 @@ def to_process(high, price, detection_bar):
 
 
 @given(alternating_points())
-@settings(max_examples=400)
+@settings(max_examples=examples(400))
 def test_phases_match_reference(points):
-    assert detect_trends(to_process(*points)) == reference_phases(*points)
+    assert list(detect_trends(to_process(*points))) == reference_phases(*points)
 
 
 @given(alternating_points())
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_violator_holds_no_trend(points):
     # why the violator cannot establish: neither direction holds at it
     high, price, _ = points
@@ -120,7 +121,7 @@ def test_start_trimmed_after_previous_phase():
         (UP, 0, 5, 6),
         (DOWN, 6, 7, None),
     ]
-    assert phases == reference_phases(mm.high.tolist(), mm.price.tolist(), mm.detection_bar.tolist())
+    assert list(phases) == reference_phases(mm.high.tolist(), mm.price.tolist(), mm.detection_bar.tolist())
 
 
 def test_equal_extrema_neither_establish_nor_continue():
@@ -130,4 +131,4 @@ def test_equal_extrema_neither_establish_nor_continue():
     mm = fx.process(spec)
     phases = detect_trends(mm)
     assert [(ph.established_point_index, ph.violation_point_index) for ph in phases] == [(5, 6)]
-    assert phases == reference_phases(mm.high.tolist(), mm.price.tolist(), mm.detection_bar.tolist())
+    assert list(phases) == reference_phases(mm.high.tolist(), mm.price.tolist(), mm.detection_bar.tolist())
