@@ -23,28 +23,24 @@ from .stats import (
     HistogramSpec,
     LogNormalParams,
     anderson_darling_lognormal,
-    bivariate_lognormal_density,
     conditional_cross_mean,
     fit_bivariate_lognormal,
     fit_lognormal_report,
     histogram,
     log_correlation,
-    lognormal_cdf,
     lognormal_mle,
     lognormal_moments,
     lognormal_sf,
-    norm_cdf,
     norm_sf,
     truncated_lognormal_mean,
 )
 from .trading import (
     BacktestResult,
-    TradeOutcome,
     TradeSpec,
+    Trades,
     backtest_anticyclic,
     expected_return,
     simulate_expected_return,
-    trade_return,
 )
 from .trend import (
     LineFit,

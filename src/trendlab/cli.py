@@ -35,6 +35,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
@@ -165,7 +166,8 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
             if not found:
                 raise FileNotFoundError(f"no input files in directory {p}")
             files.extend(found)
-            labels.append(p.name)
+            # the normalized absolute path names ".", "./" and ".." after the directory itself
+            labels.append(Path(os.path.abspath(p)).name)
         elif p.is_file():
             files.append(p)
             labels.append(p.stem)
@@ -340,6 +342,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _records(**columns: np.ndarray) -> list[dict]:
+    """One dict per row of equal-length columns, keyed by the column names: a report's records."""
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(column.tolist() for column in columns.values()))]
+
+
 def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> int:
     market, runs = _runs(cfg)
     n_sections = n_points = 0
@@ -349,17 +357,19 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> int:
         mm, phases = _detect_one(series, scaling)
         n_sections += 1
         n_points += len(mm)
-        extrema = [
-            {"kind": HIGH if high else LOW, "price": price, "bar": bar, "detection_bar": detected, "d_abs": d_abs}
-            for high, price, bar, detected, d_abs in zip(
-                mm.high.tolist(), mm.price.tolist(), mm.bar.tolist(), mm.detection_bar.tolist(), mm.d_abs.tolist()
-            )
-        ]
         return {
             "symbol": series.symbol,
             "scaling": scaling,
-            "extrema": extrema,
-            "phases": [dict(vars(ph)) for ph in phases],
+            "extrema": _records(
+                kind=np.take((LOW, HIGH), mm.high), price=mm.price, bar=mm.bar,
+                detection_bar=mm.detection_bar, d_abs=mm.d_abs,
+            ),
+            "phases": _records(
+                direction=np.take(trend_mod.DIRECTIONS, phases.down), start_point_index=phases.start,
+                end_point_index=phases.end, established_point_index=phases.established,
+                violation_point_index=np.where(phases.violation < 0, None, phases.violation),
+                start_detection_bar=phases.start_detection_bar, end_detection_bar=phases.end_detection_bar,
+            ),
             "open_candidate": dict(vars(mm.open_candidate)) if mm.open_candidate else None,
         }
 
@@ -588,11 +598,15 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
         return {
             "symbol": series.symbol,
             "scaling": scaling,
-            "trades": [dict(vars(t)) for t in trades],
+            "trades": _records(
+                ret=trades.ret, reached_target=trades.reached_target, x=trades.x, d=trades.d,
+                direction=np.take(trend_mod.DIRECTIONS, trades.down),
+                entry_bar=trades.entry_bar, exit_bar=trades.exit_bar,
+            ),
             "summary": {
                 "n": len(trades),
-                "mean_return": float(np.mean([t.ret for t in trades])) if trades else None,
-                "target_rate": float(np.mean([t.reached_target for t in trades])) if trades else None,
+                "mean_return": float(np.mean(trades.ret)) if trades else None,
+                "target_rate": float(np.mean(trades.reached_target)) if trades else None,
                 "degenerate": result.degenerate,
                 "truncated": result.truncated,
             },

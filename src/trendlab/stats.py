@@ -30,11 +30,6 @@ _Z_CLAMP = 1e-12
 _MIN_SURVIVAL = 1e-300
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via erfc; accurate deep into both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def norm_sf(x: float) -> float:
     """Standard normal survival function 1 - Phi(x), without cancellation."""
     return 0.5 * math.erfc(x / _SQRT2)
@@ -101,15 +96,6 @@ def lognormal_mle(samples) -> LogNormalParams:
 def lognormal_moments(params: LogNormalParams) -> tuple[float, float]:
     """(median, mean) = (e^mu, e^(mu + sigma^2/2))."""
     return math.exp(params.mu), math.exp(params.mu + 0.5 * params.sigma**2)
-
-
-def lognormal_cdf(x: float, params: LogNormalParams) -> float:
-    """P(X <= x); 0 for x <= 0. With sigma = 0 this is a step at e^mu."""
-    if x <= 0.0:
-        return 0.0
-    if params.sigma == 0.0:
-        return 1.0 if x >= math.exp(params.mu) else 0.0
-    return norm_cdf((math.log(x) - params.mu) / params.sigma)
 
 
 def lognormal_sf(x: float, params: LogNormalParams) -> float:
@@ -182,31 +168,12 @@ def log_correlation(pairs) -> float:
 
 
 def fit_bivariate_lognormal(pairs) -> BivariateLogNormalParams:
-    """Marginal MLEs plus the log-correlation, bundled for joint-density use."""
+    """Marginal MLEs plus the log-correlation: the joint law ``expected_return`` reads."""
     arr = np.asarray(pairs, dtype=float)
     rho = log_correlation(arr)
     px = lognormal_mle(arr[:, 0])
     pd = lognormal_mle(arr[:, 1])
     return BivariateLogNormalParams(px.mu, pd.mu, px.sigma, pd.sigma, rho)
-
-
-def bivariate_lognormal_density(x: float, d: float, params: BivariateLogNormalParams) -> float:
-    """Joint density
-
-        f(x,d) = exp(-q/2) / (2 pi x d sigma_x sigma_d sqrt(1-rho^2)),
-        q = [u^2 + v^2 - 2 rho u v] / (1 - rho^2),
-        u = (ln x - mu_x)/sigma_x, v = (ln d - mu_d)/sigma_d,
-
-    and 0 outside the positive quadrant.
-    """
-    if x <= 0.0 or d <= 0.0:
-        return 0.0
-    u = (math.log(x) - params.mu_x) / params.sigma_x
-    v = (math.log(d) - params.mu_d) / params.sigma_d
-    one_m = 1.0 - params.rho**2
-    q = (u * u + v * v - 2.0 * params.rho * u * v) / one_m
-    norm = 2.0 * math.pi * x * d * params.sigma_x * params.sigma_d * math.sqrt(one_m)
-    return math.exp(-0.5 * q) / norm
 
 
 def truncated_lognormal_mean(params: LogNormalParams, a: float) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Collection
 
 import numpy as np
 
@@ -43,28 +43,6 @@ class TradeSpec:
     def __post_init__(self):
         if not (0.0 < self.entry < self.target):
             raise ValueError("need 0 < entry < target")
-
-
-@dataclass(frozen=True)
-class TradeOutcome:
-    ret: float
-    reached_target: bool
-    x: float
-    d: float
-    direction: str = trend_mod.UP
-    entry_bar: Optional[int] = None
-    exit_bar: Optional[int] = None
-
-
-def trade_return(x: float, d: float, spec: TradeSpec) -> Optional[TradeOutcome]:
-    """Outcome of one trade, or None when the retracement never reaches entry."""
-    if d < 0.0:
-        raise ValueError("delay must be non-negative")
-    if x < spec.entry:
-        return None
-    if x >= spec.target:
-        return TradeOutcome(ret=spec.target - spec.entry, reached_target=True, x=x, d=d)
-    return TradeOutcome(ret=x - spec.entry - d, reached_target=False, x=x, d=d)
 
 
 def expected_return(params: BivariateLogNormalParams, spec: TradeSpec) -> float:
@@ -103,7 +81,8 @@ def simulate_expected_return(
     """Monte Carlo (mean, stderr) of R over draws with X >= entry.
 
     Draws correlated normals, exponentiates, filters on the entry condition,
-    and applies the same return rule as trade_return. Deterministic per seed.
+    and applies the return rule R(x, d) of the module docstring. Deterministic
+    per seed.
 
     All n first normals are drawn at once into one buffer, then the second
     normals block by block (MC_BLOCK draws), which continues the generator's
@@ -137,11 +116,27 @@ def simulate_expected_return(
     return float(mean), math.sqrt(np.add.reduce(ret) / (m - 1)) / math.sqrt(m)
 
 
+@dataclass(frozen=True, eq=False)
+class Trades(trend_mod._Columns):
+    """Backtest trades as read-only columns, one row per trade in leg order.
+
+    ``ret``, ``x`` and ``d`` are in units of the preceding movement; ``down`` codes DIRECTIONS.
+    """
+
+    ret: np.ndarray
+    reached_target: np.ndarray
+    x: np.ndarray
+    d: np.ndarray
+    down: np.ndarray
+    entry_bar: np.ndarray
+    exit_bar: np.ndarray
+
+
 @dataclass(frozen=True)
 class BacktestResult:
-    """Trade outcomes plus tallies for skipped legs and series-end truncation."""
+    """Trade columns plus tallies for skipped legs and series-end truncation."""
 
-    trades: tuple[TradeOutcome, ...]
+    trades: Trades
     degenerate: int = 0
     truncated: int = 0
 
@@ -192,10 +187,7 @@ def backtest_anticyclic(
         entry_bar,
         np.where(reached, target_bar, mm.detection_bar[b]),
     )
-    trades = tuple(
-        TradeOutcome(ret, hit, x, d, trend_mod.DIRECTIONS[is_down], first, last)
-        for ret, hit, x, d, is_down, first, last in zip(*(column[entry_bar >= 0].tolist() for column in columns))
-    )
+    trades = Trades(*(column[entry_bar >= 0] for column in columns))
 
     # an entry hit inside the still-open final correction has no resolvable
     # exit: the open phase ends at the final point k, its last leg moved into

@@ -87,8 +87,19 @@ class TrendPhase:
     end_detection_bar: int
 
 
+class _Columns:
+    """A frozen dataclass's equal-length numpy columns, made read-only; ``len`` counts the rows."""
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+
 @dataclass(frozen=True, eq=False)
-class TrendPhases:
+class TrendPhases(_Columns):
     """Trend phases as read-only columns, one row per phase; iteration builds TrendPhase rows.
 
     ``down`` (True for a down-trend) is the code into DIRECTIONS; ``violation`` is -1 while open.
@@ -101,13 +112,6 @@ class TrendPhases:
     violation: np.ndarray
     start_detection_bar: np.ndarray
     end_detection_bar: np.ndarray
-
-    def __post_init__(self):
-        for column in vars(self).values():
-            column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.down)
 
     def __iter__(self):
         for down, start, end, established, violation, *bars in zip(*(c.tolist() for c in vars(self).values())):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from trendlab import (
     CandleSeries,
     ScalingConfig,
-    TradeOutcome,
     TradeSpec,
     backtest_anticyclic,
     detect_trends,
@@ -24,6 +23,7 @@ from trendlab import (
 from trendlab.minmax import HIGH
 from trendlab.trend import DOWN, UP
 from hypothesis_counts import examples
+from oracles import TradeOutcome, same_bits, trade_columns
 import swing_fixtures as fx
 
 DIRECTION_SETS = [(UP,), (DOWN,), (UP, DOWN)]
@@ -97,7 +97,9 @@ def reference_backtest(series, scaling, spec, directions):
 def assert_matches_reference(series, scaling, spec, directions):
     result = backtest_anticyclic(series, scaling, spec, directions=directions)
     trades, degenerate, truncated = reference_backtest(series, scaling, spec, directions)
-    assert list(result.trades) == trades
+    expected = trade_columns(trades)
+    for name in vars(expected):
+        assert same_bits(getattr(result.trades, name), getattr(expected, name)), name
     assert (result.degenerate, result.truncated) == (degenerate, truncated)
     return result
 

@@ -260,6 +260,17 @@ class TestInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw, cwd", [(".", "."), ("./", "."), ("..", "sub")], ids=["dot", "dot-slash", "dot-dot"])
+    def test_relative_directory_names_the_market_after_itself(self, market_dir, tmp_path, monkeypatch, raw, cwd):
+        # ".", "./" and ".." have no name of their own as written
+        (market_dir / "sub").mkdir()
+        monkeypatch.chdir(market_dir / cwd)
+        out = tmp_path / "out"
+        assert main(["stats", "--input", raw, "--scaling", "1", "--output", str(out)]) == 0
+        payload = read_json(out / "fits.json")
+        assert payload["market"] == "market"
+        assert payload["cells"] and all(c["market"] == "market" for c in payload["cells"])
+
     @pytest.mark.parametrize(
         "inputs, named",
         [

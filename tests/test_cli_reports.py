@@ -1,12 +1,26 @@
 """Pinned report bytes and the up-front option checks RunConfig makes on construction."""
 import hashlib
+import json
 
 import pytest
 
-from trendlab import ExtremumPoint, TrendPhase, synth_gbm, synth_trend_series, write_candle_file
+from trendlab import (
+    ExtremumPoint,
+    ScalingConfig,
+    TrendPhase,
+    TrendSample,
+    detect_trends,
+    macd_sar,
+    read_candle_file,
+    run_minmax,
+    synth_gbm,
+    synth_trend_series,
+    write_candle_file,
+)
 from trendlab import cli
 from trendlab.cli import MAX_HIST_BINS, MAX_MC_SAMPLES, MAX_SCALINGS, MAX_SYNTH_BARS, RunConfig, main, parse_scaling_range
 from trendlab.trend import RETRACEMENT
+import swing_fixtures as fx
 
 # sha256 of the stats reports for the market built in test_stats_reports_pinned,
 # computed with the row-per-sample SampleBatch that preceded the columnar one
@@ -104,12 +118,18 @@ def test_trade_eval_reports_pinned(tmp_path, monkeypatch):
 
 
 def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
-    # every command reads the MinMaxProcess and TrendPhases columns; a row is
-    # built only on request, and only detect's report asks for phase rows
+    # every command reads the MinMaxProcess, TrendPhases, SampleBatch and
+    # trade columns; no command builds a point, phase or sample row
     def refuse(self, *args):
         raise RuntimeError(f"a {type(self).__name__} row was built")
 
-    monkeypatch.setattr(ExtremumPoint, "__init__", refuse)
+    rows = {
+        ExtremumPoint: ("low", 1.0, 0, 0, 1.0, 0.0),
+        TrendPhase: ("up", 0, 3, 3, None, 4, 4),
+        TrendSample: (RETRACEMENT, 0.5, "up", 1.0, "g2", 1),
+    }
+    for row in rows:
+        monkeypatch.setattr(row, "__init__", refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "market").mkdir()
     write_candle_file(synth_gbm(100.0, 0.0, 0.02, 1500, seed=2, symbol="g2"), tmp_path / "market" / "g2.csv")
@@ -122,12 +142,41 @@ def test_pipeline_commands_build_no_point_rows(tmp_path, monkeypatch):
         ["backtest", "--scaling", "1", "--direction", "both", "--entry", "0.382", "--target", "1.0"],
     ]
     for argv in commands:
-        with monkeypatch.context() as patch:
-            if argv[0] != "detect":
-                patch.setattr(TrendPhase, "__init__", refuse)
-            assert main([*argv, "--input", "market", "--output", argv[0]]) == 0
-    with pytest.raises(RuntimeError):
-        ExtremumPoint("low", 1.0, 0, 0, 1.0, 0.0)
+        assert main([*argv, "--input", "market", "--output", argv[0]]) == 0
+    for row, args in rows.items():
+        with pytest.raises(RuntimeError):
+            row(*args)
+
+
+def test_detect_records_match_the_row_views(tmp_path, monkeypatch):
+    # detect renders its extrema and phases from columns; the rows that
+    # MinMaxProcess.points and iterating TrendPhases build are the reference
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "market").mkdir()
+    for seed, vol in ((0, 0.005), (1, 0.02), (2, 0.05)):
+        write_candle_file(synth_gbm(100.0, 0.0, vol, 800, seed=seed), tmp_path / "market" / f"gbm{seed}.csv")
+    for seed in (0, 1, 2):
+        # integer-grid bars: equal extrema, exact ties, phases open at the end
+        write_candle_file(fx.gapped_series(seed, 400), tmp_path / "market" / f"gapped{seed}.csv")
+    scalings = [1 / 9, 0.5, 1.0, 2.0]
+    assert main(["detect", "--input", "market", *(f"--scaling={s!r}" for s in scalings), "--output", "out"]) == 0
+    sections = iter(json.loads((tmp_path / "out" / "detect.json").read_text())["sections"])
+    seen = {"down": 0, "open": 0}
+    for path in sorted((tmp_path / "market").iterdir()):
+        series = read_candle_file(path)
+        for scaling in scalings:
+            section = next(sections)
+            mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
+            phases = [dict(vars(ph)) for ph in detect_trends(mm)]
+            assert (section["symbol"], section["scaling"]) == (series.symbol, scaling)
+            assert section["extrema"] == [
+                {key: value for key, value in vars(point).items() if key != "detection_close"} for point in mm.points
+            ]
+            assert section["phases"] == phases
+            seen["down"] += sum(ph["direction"] == "down" for ph in phases)
+            seen["open"] += sum(ph["violation_point_index"] is None for ph in phases)
+    assert next(sections, None) is None
+    assert all(seen.values()), seen
 
 
 # (arguments, texts the error line must contain)

@@ -1,4 +1,4 @@
-"""Every backtest trade is ``trade_return`` of its correction leg.
+"""Every backtest trade is ``trade_return`` (tests/oracles.py) of its correction leg.
 
 For a tradable correction leg a -> b = a + 1 of ``legs`` (a > 0, positive
 size after a positive movement), the correction's extreme is point b's price
@@ -6,9 +6,11 @@ at a bar of the touch window, and no bar of the window goes beyond it. So the
 entry level is touched exactly when x = size / previous reaches ``entry``, the
 target exactly when it reaches ``target``, and a trade that misses the target
 exits at b's detection close: ret = x - entry - d with d = d_abs[b] /
-previous. The backtest must give those trades, in leg order, with the same
-``reached_target``, ``x`` and ``d`` bit for bit and ``ret`` to rounding.
+previous. The backtest's trade columns must hold those trades, in leg order,
+with the same direction, ``reached_target``, ``x`` and ``d`` bit for bit and
+``ret`` to rounding.
 """
+import numpy as np
 from hypothesis import given, strategies as st
 
 from trendlab import (
@@ -20,9 +22,9 @@ from trendlab import (
     run_minmax,
     synth_gbm,
     synth_trend_series,
-    trade_return,
 )
 from trendlab.trend import DOWN, UP, legs
+from oracles import same_bits, trade_return
 import swing_fixtures as fx
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -39,19 +41,16 @@ def test_trades_are_trade_returns_of_their_legs(series, scaling, spec):
     mm = run_minmax(series, macd_sar(series, ScalingConfig(scaling)))
     down, a, is_correction, size, previous = legs(mm, detect_trends(mm))
     tradable = is_correction & (a > 0) & (size > 0.0) & (previous > 0.0)
-    expected = []
+    down_rows, expected = [], []
     for is_down, j, correction, movement in zip(*(column[tradable].tolist() for column in (down, a, size, previous))):
         outcome = trade_return(correction / movement, float(mm.d_abs[j + 1]) / movement, spec)
         if outcome is not None:
-            expected.append((DOWN if is_down else UP, outcome))
+            down_rows.append(is_down)
+            expected.append(outcome)
 
     trades = backtest_anticyclic(series, scaling, spec, directions=(UP, DOWN)).trades
     assert len(trades) == len(expected)
-    for trade, (direction, outcome) in zip(trades, expected):
-        assert (trade.direction, trade.reached_target, trade.x, trade.d) == (
-            direction,
-            outcome.reached_target,
-            outcome.x,
-            outcome.d,
-        )
-        assert abs(trade.ret - outcome.ret) <= 1e-12
+    assert same_bits(trades.down, np.array(down_rows, dtype=bool))
+    for name, dtype in (("reached_target", bool), ("x", np.float64), ("d", np.float64)):
+        assert same_bits(getattr(trades, name), np.array([getattr(o, name) for o in expected], dtype=dtype)), name
+    assert np.all(np.abs(trades.ret - np.array([o.ret for o in expected], dtype=np.float64)) <= 1e-12)

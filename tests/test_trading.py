@@ -17,48 +17,12 @@ from trendlab import (
     macd_sar,
     run_minmax,
     simulate_expected_return,
-    trade_return,
     truncated_lognormal_mean,
 )
 from trendlab.trend import DOWN, UP
 import swing_fixtures as fx
 
 PARAMS = BivariateLogNormalParams(mu_x=-0.35, mu_d=-1.7, sigma_x=0.5, sigma_d=0.55, rho=0.35)
-
-
-class TestTradeReturn:
-    def test_partial_retracement(self):
-        out = trade_return(0.5, 0.1, TradeSpec(0.3, 1.0))
-        assert out.ret == pytest.approx(0.1)
-        assert not out.reached_target
-
-    def test_target_reached_ignores_delay(self):
-        out = trade_return(1.2, 0.4, TradeSpec(0.3, 1.0))
-        assert out.reached_target
-        assert out.ret == 1.0 - 0.3  # exactly t - a, delay ignored
-
-    def test_no_trade_below_entry(self):
-        assert trade_return(0.2, 0.0, TradeSpec(0.3, 1.0)) is None
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TradeSpec(0.5, 0.5)
-        with pytest.raises(ValueError):
-            TradeSpec(0.0, 1.0)
-        with pytest.raises(ValueError):
-            trade_return(0.5, -0.1, TradeSpec(0.3, 1.0))
-
-    @given(
-        st.floats(min_value=0.3, max_value=5.0),
-        st.floats(min_value=0.3, max_value=5.0),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_monotone_in_x_and_capped(self, x1, x2, d):
-        spec = TradeSpec(0.3, 1.0)
-        lo, hi = sorted([x1, x2])
-        out_lo, out_hi = trade_return(lo, d, spec), trade_return(hi, d, spec)
-        assert out_lo.ret <= out_hi.ret + 1e-12
-        assert out_hi.ret <= spec.target - spec.entry + 1e-12
 
 
 class TestExpectedReturn:
@@ -132,55 +96,54 @@ class TestSimulate:
 class TestBacktest:
     def test_shelf_fixture_partial_exit(self):
         series = CandleSeries.from_closes("shelf", fx.shelf_path())
-        result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0))
-        assert len(result.trades) == 2
-        first, second = result.trades
+        trades = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades
+        assert len(trades) == 2
         # correction 120 -> 112 (x = 0.4): exits at the detected end, close 120
-        assert first.x == 0.4
-        assert first.ret == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0  # -0.3
-        assert not first.reached_target
+        assert trades.x[0] == 0.4
+        assert trades.ret[0] == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0  # -0.3
+        assert not trades.reached_target[0]
         # correction 134 -> 123 (x = 0.5), detected at close 125.2: ret = 0.1
-        assert second.x == 0.5
-        assert second.ret == ((134.0 - 0.3 * 22.0) - 125.2) / 22.0
-        assert second.ret == pytest.approx(0.1, abs=1e-12)
-        assert second.d == pytest.approx(0.1, abs=1e-12)
-        assert second.entry_bar == 86 and second.exit_bar == 111
+        assert trades.x[1] == 0.5
+        assert trades.ret[1] == ((134.0 - 0.3 * 22.0) - 125.2) / 22.0
+        assert trades.ret[1] == pytest.approx(0.1, abs=1e-12)
+        assert trades.d[1] == pytest.approx(0.1, abs=1e-12)
+        assert trades.entry_bar[1] == 86 and trades.exit_bar[1] == 111
 
     def test_multi_swing_fixture_trades(self):
         series = CandleSeries.from_closes("multi", fx.multi_swing_path())
         trades = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades
-        assert [t.x for t in trades] == [
+        assert trades.x.tolist() == [
             (120.0 - 112.0) / 20.0,
             (134.0 - 122.0) / 22.0,
             (146.0 - 116.0) / 24.0,
         ]
-        assert trades[0].ret == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0
-        assert trades[1].ret == ((134.0 - 0.3 * 22.0) - 130.0) / 22.0
+        assert trades.ret[0] == ((120.0 - 0.3 * 20.0) - 120.0) / 20.0
+        assert trades.ret[1] == ((134.0 - 0.3 * 22.0) - 130.0) / 22.0
         # the trend-breaking correction runs through the target: ret = t - a
-        assert trades[2].reached_target
-        assert trades[2].ret == pytest.approx(0.7)
+        assert trades.reached_target[2]
+        assert trades.ret[2] == pytest.approx(0.7)
 
     def test_lemma_identity_on_non_target_trades(self):
         series = CandleSeries.from_closes("multi", fx.multi_swing_path())
-        for trade in backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades:
-            if not trade.reached_target:
-                assert trade.ret == pytest.approx(trade.x - 0.3 - trade.d, abs=1e-12)
+        trades = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades
+        partial = ~trades.reached_target
+        assert partial.any()
+        assert trades.ret[partial] == pytest.approx(trades.x[partial] - 0.3 - trades.d[partial], abs=1e-12)
 
     def test_entry_filter(self):
         series = CandleSeries.from_closes("shelf", fx.shelf_path())
         result = backtest_anticyclic(series, 1.0, TradeSpec(0.45, 1.0))
         # only the x = 0.5 correction reaches the 0.45 level
-        assert [t.x for t in result.trades] == [0.5]
+        assert result.trades.x.tolist() == [0.5]
 
     def test_down_trends_need_flag(self):
         series = CandleSeries.from_closes("mirror", fx.mirror_swing_path())
         assert len(backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0)).trades) == 0
-        result = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0), directions=(UP, DOWN))
-        assert [t.direction for t in result.trades] == ["down", "down"]
+        trades = backtest_anticyclic(series, 1.0, TradeSpec(0.3, 1.0), directions=(UP, DOWN)).trades
+        assert trades.down.tolist() == [True, True]
         # mirrored exits: ret = x - a - d off the detection close
-        first, second = result.trades
-        assert first.ret == (170.0 - (166.0 + 0.3 * 22.0)) / 22.0
-        assert second.reached_target and second.ret == pytest.approx(0.7)
+        assert trades.ret[0] == (170.0 - (166.0 + 0.3 * 22.0)) / 22.0
+        assert trades.reached_target[1] and trades.ret[1] == pytest.approx(0.7)
 
     @pytest.mark.parametrize("up", [True, False], ids=["up", "mirror"])
     def test_correction_at_point_zero_is_not_tallied(self, up):
@@ -198,7 +161,8 @@ class TestBacktest:
             assert result.degenerate == 0
             # only the 160 -> 150 correction after the 140 -> 160 movement trades
             expected = [(0.5, 88, 98)] if (UP if up else DOWN) in directions else []
-            assert [(t.x, t.entry_bar, t.exit_bar) for t in result.trades] == expected
+            trades = result.trades
+            assert list(zip(trades.x.tolist(), trades.entry_bar.tolist(), trades.exit_bar.tolist())) == expected
 
     @pytest.mark.parametrize("up", [True, False], ids=["up", "mirror"])
     def test_open_phase_ending_in_a_correction_is_not_truncated(self, up):
@@ -225,7 +189,8 @@ class TestBacktest:
             assert (result.degenerate, result.truncated) == (0, 0)
             # the 120 -> 112 correction trades; the mirror's first correction starts at point 0
             expected = [(0.4, 57, 65)] if up and UP in directions else []
-            assert [(t.x, t.entry_bar, t.exit_bar) for t in result.trades] == expected
+            trades = result.trades
+            assert list(zip(trades.x.tolist(), trades.entry_bar.tolist(), trades.exit_bar.tolist())) == expected
 
     def test_backtest_tracks_lemma_on_fitted_law(self):
         # soft closure check: mean backtest return stays near the analytic
@@ -244,7 +209,7 @@ class TestBacktest:
         rets, pairs = [], []
         for seed in range(8):
             series, _ = synth_trend_series(swings=80, seed=seed)
-            rets.extend(t.ret for t in backtest_anticyclic(series, 1.0, spec).trades)
+            rets.extend(backtest_anticyclic(series, 1.0, spec).trades.ret.tolist())
             mm = run_minmax(series, macd_sar(series, ScalingConfig(1.0)))
             batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
             pairs.extend(batch.linked_pairs("retracement", "delay_x", "up"))
