@@ -26,6 +26,11 @@ text in memory. Every piece is rendered before the file is opened, and
 ``--output`` is checked only after every input was read: an input error
 leaves no report and no output directory. The runs read one candle file at a
 time (``_runs``).
+
+CSV rows are rendered in bounded pieces while the file is written: the writer
+gets at most ``CSV_PIECE_ROWS`` rows to a string. ``stats`` keeps each cell's
+``Histogram`` with its row prefix and formats the histogram rows at write
+time (``_sample_lines``, ``_hist_lines``).
 """
 from __future__ import annotations
 
@@ -70,6 +75,8 @@ MAX_SYNTH_BARS = 2_000_000  # synth --bars; writing the file holds ~400 bytes a 
 MAX_HIST_BINS = 1_000_000
 # cells of a sweep --scalings grid; every cell is one detection per input file
 MAX_SCALINGS = 10_000
+# CSV rows per string handed to the report writer: the rows a report renders ahead of the write
+CSV_PIECE_ROWS = 4096
 
 DEFAULT_HISTOGRAMS = {
     trend_mod.RETRACEMENT: HistogramSpec(0.0, 5.0, 0.11),
@@ -381,8 +388,13 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _pieces(n_rows: int) -> Iterator[slice]:
+    """The rows of each string a CSV report hands to the writer, CSV_PIECE_ROWS at a time."""
+    return (slice(at, at + CSV_PIECE_ROWS) for at in range(0, n_rows, CSV_PIECE_ROWS))
+
+
 def _sample_lines(cfg: RunConfig, batches) -> Iterator[str]:
-    """samples.csv lines of the selected directions and variables, one string per batch."""
+    """samples.csv lines of the selected directions and variables, at most CSV_PIECE_ROWS to a string."""
     direction_codes = [trend_mod.DIRECTIONS.index(d) for d in _directions(cfg)]
     variable_codes = [code for code, v in enumerate(trend_mod.VARIABLES) if v in cfg.variables]
     n_variables = len(trend_mod.VARIABLES)
@@ -400,12 +412,30 @@ def _sample_lines(cfg: RunConfig, batches) -> Iterator[str]:
             for variable in trend_mod.VARIABLES
         ]
         codes = batch.direction[keep].astype(np.int64) * n_variables + batch.variable[keep]
-        yield "".join(
-            [
-                f"{prefixes[code]}{value!r},{pair_open}{event}{pair_close}\n"
-                for code, value, event in zip(codes.tolist(), batch.value[keep].tolist(), batch.event[keep].tolist())
-            ]
-        )
+        values, events = batch.value[keep], batch.event[keep]
+        for rows in _pieces(codes.size):
+            yield "".join(
+                [
+                    f"{prefixes[code]}{value!r},{pair_open}{event}{pair_close}\n"
+                    for code, value, event in zip(codes[rows].tolist(), values[rows].tolist(), events[rows].tolist())
+                ]
+            )
+
+
+def _hist_lines(hists: Iterable[tuple[str, stats_mod.Histogram]]) -> Iterator[str]:
+    """histograms.csv lines of (row prefix, histogram) cells, at most CSV_PIECE_ROWS to a string."""
+    for prefix, hist in hists:
+        edges = hist.spec.edges
+        for rows in _pieces(hist.spec.n_bins):
+            yield "".join(
+                [
+                    f"{prefix},{lo!r},{hi!r},{count},{density!r}\n"
+                    for lo, hi, count, density in zip(
+                        edges[rows].tolist(), edges[1:][rows].tolist(),
+                        hist.counts[rows].tolist(), hist.densities[rows].tolist(),
+                    )
+                ]
+            )
 
 
 def _hist_bounds(cfg: RunConfig, variable: str) -> tuple[float, float, float]:
@@ -429,7 +459,8 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     batches = list(starmap(samples, runs))
     cells = []
     joints = []
-    hist_lines = []
+    # each cell's histogram with its row prefix; the rows are formatted while histograms.csv is written
+    hists = []
     for scaling in cfg.scalings:
         scale_batches = [b for b in batches if b.scaling == scaling]
         for direction in _directions(cfg):
@@ -455,12 +486,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
                     }
                 )
                 hist = stats_mod.histogram(values, HistogramSpec(*_hist_bounds(cfg, variable)))
-                edges = hist.spec.edges.tolist()
-                prefix = _csv_join([market, variable, direction, scaling])
-                hist_lines.extend(
-                    f"{prefix},{lo!r},{hi!r},{count},{density!r}\n"
-                    for lo, hi, count, density in zip(edges, edges[1:], hist.counts.tolist(), hist.densities.tolist())
-                )
+                hists.append((_csv_join([market, variable, direction, scaling]), hist))
             for var_a, var_b in LINKED_PAIRS:
                 if var_a not in cfg.variables or var_b not in cfg.variables:
                     continue
@@ -487,7 +513,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
         out / "histograms.csv",
         cfg,
         ["market", "variable", "direction", "scaling", "bin_lo", "bin_hi", "count", "density"],
-        hist_lines,
+        _hist_lines(hists),
     )
     _write_csv(
         out / "samples.csv",

@@ -213,8 +213,8 @@ def conditional_cross_mean(params: BivariateLogNormalParams, a: float) -> float:
 class HistogramSpec:
     """Half-open equal-width bins [lo + k*w, lo + (k+1)*w) covering [lo, hi).
 
-    When the width does not divide the range, the bin count rounds up, so the
-    covered range may extend slightly past hi.
+    When the width does not divide the range, the bin count rounds up, to at
+    least one bin, so the covered range may extend past hi by less than a bin.
     """
 
     lo: float
@@ -234,7 +234,8 @@ class HistogramSpec:
 
     @property
     def n_bins(self) -> int:
-        return int(math.ceil((self.hi - self.lo) / self.bin_width - 1e-9))
+        # the tolerance forgives rounding in the quotient, but never leaves a non-empty range without a bin
+        return max(1, int(math.ceil((self.hi - self.lo) / self.bin_width - 1e-9)))
 
     @property
     def edges(self) -> np.ndarray:

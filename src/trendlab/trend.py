@@ -138,9 +138,9 @@ class SampleBatch:
     """Extracted samples as columns, one row per sample in emission order.
 
     ``variable`` and ``direction`` hold int8 codes into VARIABLES and
-    DIRECTIONS; ``event`` numbers the leg a sample came from and, within one
-    variable, is unique and increasing. The columns are made read-only.
-    Iteration builds TrendSample rows on demand. ``degenerate`` and
+    DIRECTIONS; ``event``, int32, numbers the leg a sample came from and,
+    within one variable, is unique and increasing. The columns are made
+    read-only. Iteration builds TrendSample rows on demand. ``degenerate`` and
     ``zero_delay`` tally the skipped degenerate legs and zero delays.
     """
 
@@ -268,7 +268,8 @@ def extract_samples(
     emitted = np.column_stack([mask for _, _, mask in table])
     leg, column = np.nonzero(emitted)
     return SampleBatch(
-        event=leg + 1,
+        # int32 holds it: a leg number stays below the bar count
+        event=(leg + 1).astype(np.int32),
         variable=np.array([code for code, _, _ in table], dtype=np.int8)[column],
         direction=down[leg].astype(np.int8),
         value=np.column_stack([value for _, value, _ in table])[emitted],

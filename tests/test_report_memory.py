@@ -2,7 +2,8 @@
 
 ``detect`` and ``backtest`` render their reports one (file, scaling) section
 at a time, so their peak grows by about one byte per byte of report: the text
-itself. Every command reads its candle files one at a time, and no series
+itself. ``stats`` hands its CSV rows to the writer at most CSV_PIECE_ROWS to
+a string. Every command reads its candle files one at a time, and no series
 outlives the read of the next file.
 """
 import contextlib
@@ -52,6 +53,29 @@ def test_peak_grows_by_about_the_report(tmp_path, command):
     assert sizes[1] > 3 * sizes[0] > 0
     growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
     assert growth <= 1.5, f"peaks {peaks} B for reports of {sizes} B: {growth:.2f} B per report byte"
+
+
+def test_stats_hands_csv_rows_over_in_bounded_pieces(tmp_path, monkeypatch):
+    # one file and one scaling: a single batch of more sample rows than one piece holds
+    source = tmp_path / "gbm.csv"
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 20000, seed=1, symbol="gbm"), source)
+    write = cli._write_pieces
+    pieces = {}
+
+    def recording_write(path, parts):
+        pieces[path.name] = list(parts)
+        write(path, pieces[path.name])
+
+    monkeypatch.setattr(cli, "_write_pieces", recording_write)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stats", "--input", str(source), "--scaling", "1", "--output", str(tmp_path / "out")]) == 0
+    # no field is quoted, so every "\n" ends a row
+    rows = {name: [piece.count("\n") for piece in parts] for name, parts in pieces.items()}
+    # the config comment, the header and more sample rows than one piece holds
+    assert sum(rows["samples.csv"]) > cli.CSV_PIECE_ROWS + 2
+    for name in ("samples.csv", "histograms.csv"):
+        assert "".join(pieces[name]) == (tmp_path / "out" / name).read_text(encoding="utf-8")
+        assert max(rows[name]) <= cli.CSV_PIECE_ROWS, (name, rows[name])
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendlab import synth_gbm, synth_trend_series, write_candle_file
-from trendlab.cli import _csv_join, _json_text, _write_json, main
+from trendlab.cli import CSV_PIECE_ROWS, _csv_join, _json_text, _write_json, main
 from hypothesis_counts import examples
 
 # the characters that decide CSV quoting and JSON escaping, plus non-ASCII ones
@@ -146,8 +146,12 @@ def test_reports_of_a_symbol_that_needs_quoting(tmp_path, monkeypatch):
     planted, _ = synth_trend_series(swings=40, seed=2, symbol="planted")
     write_candle_file(planted, tmp_path / "market" / "planted.csv")
     single = f"market/{stem}.csv"
+    # a batch of several pieces of rows (CSV_PIECE_ROWS each), its pair ids quoted too
+    long_stem = 'c,d"'
+    write_candle_file(synth_gbm(100.0, 0.0, 0.02, 40000, seed=3, symbol=long_stem), tmp_path / f"{long_stem}.csv")
     commands = [
         ["stats", "--input", single, "--scaling", "1", "--scaling", "1.5", "--output", "stats"],
+        ["stats", "--input", f"{long_stem}.csv", "--scaling", "1", "--output", "stats_long"],
         ["detect", "--input", "market", "--scaling", "1", "--output", "detect"],
         ["backtest", "--input", "market", "--scaling", "1", "--entry", "0.5", "--target", "1", "--output", "backtest"],
         ["sweep", "--input", single, "--scalings", "0.5:2:0.5", "--output", "sweep"],
@@ -156,12 +160,20 @@ def test_reports_of_a_symbol_that_needs_quoting(tmp_path, monkeypatch):
         assert main(argv) == 0
     samples = (tmp_path / "stats" / "samples.csv").read_text(encoding="utf-8")
     assert '\n"a,b""é",1.0,up,' in samples and ',"a,b""é:1.0:' in samples
-    for name in ("stats/samples.csv", "stats/histograms.csv", "sweep/sweep.csv"):
+    long_samples = (tmp_path / "stats_long" / "samples.csv").read_text(encoding="utf-8")
+    assert long_samples.count(',"c,d"":1.0:') > 2 * CSV_PIECE_ROWS
+    for name, symbol in (
+        ("stats/samples.csv", 'a,b""é'),
+        ("stats/histograms.csv", 'a,b""é'),
+        ("sweep/sweep.csv", 'a,b""é'),
+        ("stats_long/samples.csv", 'c,d""'),
+        ("stats_long/histograms.csv", 'c,d""'),
+    ):
         text = (tmp_path / name).read_text(encoding="utf-8")
-        assert text.count('"a,b""é') > 1, name
+        assert text.count('"' + symbol) > 1, name
         assert _csv_rewritten(text) == text, name
     reports = sorted(tmp_path.glob("*/*.json"))
-    assert [p.name for p in reports] == ["backtest.json", "detect.json", "fits.json", "sweep_fit.json"]
+    assert [p.name for p in reports] == ["backtest.json", "detect.json", "fits.json", "fits.json", "sweep_fit.json"]
     for path in reports:
         text = path.read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text, path.name

@@ -178,6 +178,7 @@ def test_columns_match_row_reference(market):
     rows, degenerate, zero_delay = reference_rows(mm, phases, series.symbol, scaling)
 
     assert len(batch) == len(rows)
+    assert batch.event.dtype == np.int32
     assert (batch.degenerate, batch.zero_delay) == (degenerate, zero_delay)
     assert list(batch) == rows
     for direction in (None, "up", "down"):
@@ -200,6 +201,7 @@ def test_gapped_markets_reach_every_skip_rule():
             batch = extract_samples(mm, phases, series, scaling=scaling)
             rows, degenerate, zero_delay = reference_rows(mm, phases, series.symbol, scaling)
             assert list(batch) == rows and (batch.degenerate, batch.zero_delay) == (degenerate, zero_delay)
+            assert batch.event.dtype == np.int32
             d_abs = mm.d_abs.tolist()
             for _, a, is_correction, size, previous in reference_legs(mm, phases):
                 delayed = d_abs[a + 1] > 0.0
@@ -228,6 +230,7 @@ def test_batch_without_phases_is_empty():
     mm = fx.process([])
     batch = extract_samples(mm, detect_trends(mm), series, scaling=1.0)
     assert len(batch) == 0 and list(batch) == []
+    assert batch.event.dtype == np.int32
     assert batch.values(RETRACEMENT).dtype == np.float64 and batch.values(RETRACEMENT).size == 0
     assert_same_pairs(batch.linked_pairs(RETRACEMENT, DELAY_X), np.empty((0, 2)))
 

@@ -260,6 +260,16 @@ class TestHistogram:
     def test_retracement_spec_bin_count(self):
         assert HistogramSpec(0.0, 5.0, 0.11).n_bins == 46
 
+    @pytest.mark.parametrize("hi, width", [(1e-12, 1.0), (1e-300, 0.11)])
+    def test_a_range_below_the_tolerance_keeps_one_bin(self, hi, width):
+        # the quotient is under the 1e-9 rounding tolerance, yet [0, hi) is not empty
+        spec = HistogramSpec(0.0, hi, width)
+        assert spec.n_bins == 1
+        assert spec.edges.tolist() == [0.0, width]
+        hist = histogram([hi / 2, -hi], spec)
+        assert hist.counts.tolist() == [1]
+        assert hist.out_of_range == 1
+
     @given(st.lists(st.floats(min_value=-2.0, max_value=8.0, allow_nan=False), max_size=200))
     @settings(max_examples=examples(40))
     def test_density_mass_equals_in_range_fraction(self, values):
