@@ -17,15 +17,16 @@ The bytes of a report are a contract. A JSON report is exactly
 instead: fields quoted only when they need it, a field holding ``\\r`` included
 (a ``lineterminator="\\n"`` writer leaves a bare ``\\r`` unquoted on Python
 3.11). They are written without json's pure-Python indent encoder and without
-a csv.writer call per row (see ``_json_text`` and ``_csv_field``).
+a csv.writer call per row (see ``_json_pieces`` and ``_csv_field``).
 
-JSON reports are rendered one section at a time (``_json_pieces``): detect
-and backtest hand their (file, scaling) sections over as an iterator, so the
-records of one section are alive at a time and a report holds about its own
-text in memory. Every piece is rendered before the file is opened, and
-``--output`` is checked only after every input was read: an input error
-leaves no report and no output directory. The runs read one candle file at a
-time (``_runs``).
+One recursive renderer, ``_json_pieces``, appends every JSON report to one
+list of pieces, and writes an iterator, wherever it is, as a list, one item at
+a time: detect and backtest hand their (file, scaling) sections over as an
+iterator, so the records of one section are alive at a time and a report
+holds about its own text in memory. Every piece is rendered before the file
+is opened, and ``--output`` is checked only after every input was read: an
+input error leaves no report and no output directory. The runs read one
+candle file at a time (``_runs``).
 
 CSV rows are rendered in bounded pieces while the file is written: the writer
 gets at most ``CSV_PIECE_ROWS`` rows to a string. ``stats`` keeps each cell's
@@ -214,7 +215,8 @@ def _detect_one(series, scaling: float):
     return mm, trend_mod.detect_trends(mm)
 
 
-_CONTAINERS = (dict, list, tuple)
+# an iterator is written as a list, one item at a time
+_CONTAINERS = (dict, list, tuple, Iterator)
 
 
 def _holds_container(values: Iterable) -> bool:
@@ -232,70 +234,60 @@ def _json_key(key) -> str:
     return _c_encode(0)({key: None})[1:-5]
 
 
-def _json_text(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``depth`` levels deep.
+def _json_pieces(value, pieces: list[str], depth: int = 0) -> list[str]:
+    """Append ``json.dumps(value, indent=2, sort_keys=True)``, nested ``depth`` levels deep, to ``pieces``.
 
     json encodes with its pure-Python encoder whenever ``indent`` is set. Here
     json's C encoder writes, in one call each, every container that holds no
     container and every list of such non-empty dicts (trades, extrema,
     phases); only containers of other containers are walked in Python.
     Scalars, keys and rejected types (TypeError) are all left to json.
+
+    An iterator is written as a list, one item at a time: ``map`` lets go of
+    each item once its text is made, so the pieces and the one item being
+    rendered are all that is alive.
     """
     if isinstance(value, dict):
         brackets, children = "{}", value.values()
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, Iterator)):
         brackets, children = "[]", value
     else:
-        return _c_encode(0)(value)
-    if not children:
-        return brackets
+        pieces.append(_c_encode(0)(value))
+        return pieces
     inner = "\n" + "  " * (depth + 1)
     close = "\n" + "  " * depth + brackets[1]
-    if not _holds_container(children):
-        return brackets[0] + inner + _c_encode(depth + 1)(value)[1:-1] + close
-    if (
-        brackets == "[]"
-        and all(map(isinstance, children, repeat(dict)))
-        and all(children)
-        and not _holds_container(chain.from_iterable(map(dict.values, children)))
-    ):
-        # "}", a separator and "{" meet only between two records:
-        # no scalar ends in "}" and every key starts with '"'
-        item = "\n" + "  " * (depth + 2)
-        records = _c_encode(depth + 2)(value)[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
-        return "[" + inner + "{" + item + records + inner + "}" + close
+    # an iterator can be read only once, so it is always walked
+    if not isinstance(value, Iterator):
+        if not children:
+            pieces.append(brackets)
+            return pieces
+        if not _holds_container(children):
+            pieces.append(brackets[0] + inner + _c_encode(depth + 1)(value)[1:-1] + close)
+            return pieces
+        if (
+            brackets == "[]"
+            and all(map(isinstance, children, repeat(dict)))
+            and all(children)
+            and not _holds_container(chain.from_iterable(map(dict.values, children)))
+        ):
+            # "}", a separator and "{" meet only between two records:
+            # no scalar ends in "}" and every key starts with '"'
+            item = "\n" + "  " * (depth + 2)
+            records = _c_encode(depth + 2)(value)[2:-2].replace("}," + item + "{", inner + "}," + inner + "{" + item)
+            pieces.append("[" + inner + "{" + item + records + inner + "}" + close)
+            return pieces
+    # a separator after every child; the last one becomes the closing bracket
+    pieces.append(brackets[0] + inner)
+    start = len(pieces)
     if brackets == "{}":
-        parts = [_json_key(key) + _json_text(child, depth + 1) for key, child in sorted(value.items())]
+        for key, child in sorted(value.items()):
+            pieces.append(_json_key(key))
+            _json_pieces(child, pieces, depth + 1).append("," + inner)
     else:
-        parts = [_json_text(child, depth + 1) for child in value]
-    return brackets[0] + inner + ("," + inner).join(parts) + close
-
-
-def _json_pieces(payload) -> list[str]:
-    """The text of ``_write_json(path, payload)``, in pieces.
-
-    A value of a dict payload may be an iterator. It is rendered as a list,
-    one item at a time: ``map`` lets go of each item once its text is made,
-    so the pieces and the one item being rendered are all that is alive.
-    """
-    if not (isinstance(payload, dict) and any(map(isinstance, payload.values(), repeat(Iterator)))):
-        return [_json_text(payload), "\n"]
-    pieces = []
-    for n, (key, value) in enumerate(sorted(payload.items())):
-        pieces.append(("{" if n == 0 else ",") + "\n  " + _json_key(key))
-        if not isinstance(value, Iterator):
-            pieces.append(_json_text(value, 1))
-            continue
-        # a separator ahead of every item; the first one then opens the list
-        start = len(pieces)
-        for text in map(_json_text, value, repeat(2)):
-            pieces += (",\n    ", text)
-        if len(pieces) == start:
-            pieces.append("[]")
-        else:
-            pieces[start] = "[\n    "
-            pieces.append("\n  ]")
-    pieces.append("\n}\n")
+        for _ in map(_json_pieces, value, repeat(pieces), repeat(depth + 1)):
+            pieces.append("," + inner)
+    # only an empty iterator adds no child
+    pieces[-1] = close if len(pieces) > start else brackets
     return pieces
 
 
@@ -312,7 +304,7 @@ def _write_json(path: Path, payload) -> None:
     Every piece is rendered (``_json_pieces``) before the file is opened, so
     an error while rendering leaves no file and no directory.
     """
-    _write_pieces(path, _json_pieces(payload))
+    _write_pieces(path, _json_pieces(payload, []) + ["\n"])
 
 
 def _csv_field(text: str) -> str:
@@ -381,7 +373,7 @@ def cmd_detect(cfg: RunConfig, args: argparse.Namespace) -> int:
         }
 
     # sections are rendered one at a time, and every input is read before --output is checked
-    pieces = _json_pieces({"config": vars(cfg), "market": market, "sections": starmap(section, runs)})
+    pieces = _json_pieces({"config": vars(cfg), "market": market, "sections": starmap(section, runs)}, []) + ["\n"]
     out = _out_dir(cfg) / "detect.json"
     _write_pieces(out, pieces)
     print(f"detect: {n_sections} sections, {n_points} extrema -> {out}")
@@ -586,7 +578,11 @@ def cmd_trade_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     params = BivariateLogNormalParams(args.mu_x, args.mu_d, args.sigma_x, args.sigma_d, args.rho)
     spec = _trade_spec(args)
-    analytic = expected_return(params, spec)
+    try:
+        analytic = expected_return(params, spec)
+    except ValueError as exc:
+        law = f"--mu-x {args.mu_x!r}, --sigma-x {args.sigma_x!r}, --mu-d {args.mu_d!r}, --sigma-d {args.sigma_d!r}"
+        raise ValueError(f"bad {law}, --rho {args.rho!r} for --entry {args.entry!r}, --target {args.target!r}: {exc}") from None
     mc_mean, mc_stderr = simulate_expected_return(params, spec, n=args.mc_samples, seed=cfg.seed)
     open_probability = stats_mod.lognormal_sf(spec.entry, params.x)
     target_probability = stats_mod.lognormal_sf(spec.target, params.x) / open_probability
@@ -640,8 +636,8 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     # sections are rendered one at a time, and every input is read before --output is checked
     pieces = _json_pieces(
-        {"config": vars(cfg), "market": market, "spec": dict(vars(spec)), "sections": starmap(section, runs)}
-    )
+        {"config": vars(cfg), "market": market, "spec": dict(vars(spec)), "sections": starmap(section, runs)}, []
+    ) + ["\n"]
     out = _out_dir(cfg) / "backtest.json"
     _write_pieces(out, pieces)
     print(f"backtest: {n_trades} trades over {n_sections} sections -> {out}")

@@ -32,7 +32,7 @@ a reader asks for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -66,6 +66,26 @@ class OpenCandidate:
     bar: int
 
 
+class _Columns:
+    """The layout of every result record: a frozen dataclass whose fields typed as arrays are its columns.
+
+    Construction refuses a column that is not a one-dimensional array of the
+    first field's length (a list too) and makes every column read-only;
+    ``len`` counts the rows.
+    """
+
+    def __post_init__(self):
+        # every record's module postpones its annotations, so a field's type is its source text
+        columns = [getattr(self, f.name) for f in fields(self) if f.type == "np.ndarray"]
+        if not all(isinstance(c, np.ndarray) and c.ndim == 1 and len(c) == len(columns[0]) for c in columns):
+            raise ValueError("columns must be one-dimensional and of equal length")
+        for column in columns:
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+
 # (column, dtype) in MinMaxProcess's field order
 COLUMNS = (
     ("high", bool),
@@ -87,7 +107,7 @@ _INVARIANTS = (
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class MinMaxProcess:
+class MinMaxProcess(_Columns):
     """Fixed swing points as read-only columns, one row per point.
 
     ``high`` is True for a fixed high and False for a fixed low. The columns
@@ -106,15 +126,8 @@ class MinMaxProcess:
 
     def __post_init__(self):
         for name, dtype in COLUMNS:
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        self._validate()
-
-    def _validate(self) -> None:
-        shapes = {getattr(self, name).shape for name, _ in COLUMNS}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
-            raise ValueError("columns must be one-dimensional and of equal length")
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        super().__post_init__()
         n = len(self)
         if n == 0:
             return
@@ -137,9 +150,6 @@ class MinMaxProcess:
         kinds = [HIGH if h else LOW for h in self.high.tolist()]
         columns = [getattr(self, name).tolist() for name, _ in COLUMNS[1:]]
         return tuple(map(ExtremumPoint, kinds, *columns))
-
-    def __len__(self) -> int:
-        return len(self.price)
 
 
 def _first_extreme(column: np.ndarray, start: int, stop: int, highest: bool) -> tuple[float, int]:

@@ -176,6 +176,23 @@ def fit_bivariate_lognormal(pairs) -> BivariateLogNormalParams:
     return BivariateLogNormalParams(px.mu, pd.mu, px.sigma, pd.sigma, rho)
 
 
+def _tail_mean(mu: float, sigma: float, z: float, shift: float, a: float) -> float:
+    """e^(mu + sigma^2/2) * SF(z - shift) / SF(z): a log-normal mean given X >= a, z the standardized ln a.
+
+    A tail P(X >= a) that underflows, or a mean that overflows, is a ValueError.
+    """
+    survival = norm_sf(z)
+    if survival < _MIN_SURVIVAL:
+        raise ValueError(f"tail too deep: P(X >= {a}) underflows")
+    try:
+        mean = math.exp(mu + 0.5 * sigma**2) * norm_sf(z - shift) / survival
+        if math.isfinite(mean):
+            return mean
+    except OverflowError:
+        pass
+    raise ValueError(f"mean too large: E(. | X >= {a}) overflows")
+
+
 def truncated_lognormal_mean(params: LogNormalParams, a: float) -> float:
     """E(X | X >= a) for log-normal X:
 
@@ -186,10 +203,7 @@ def truncated_lognormal_mean(params: LogNormalParams, a: float) -> float:
     if params.sigma <= 0.0:
         raise ValueError("sigma must be positive")
     z = (math.log(a) - params.mu) / params.sigma
-    survival = norm_sf(z)
-    if survival < _MIN_SURVIVAL:
-        raise ValueError(f"tail too deep: P(X >= {a}) underflows")
-    return math.exp(params.mu + 0.5 * params.sigma**2) * norm_sf(z - params.sigma) / survival
+    return _tail_mean(params.mu, params.sigma, z, params.sigma, a)
 
 
 def conditional_cross_mean(params: BivariateLogNormalParams, a: float) -> float:
@@ -203,10 +217,7 @@ def conditional_cross_mean(params: BivariateLogNormalParams, a: float) -> float:
     if not a > 0.0:
         raise ValueError("truncation point must be positive")
     z = (math.log(a) - params.mu_x) / params.sigma_x
-    survival = norm_sf(z)
-    if survival < _MIN_SURVIVAL:
-        raise ValueError(f"tail too deep: P(X >= {a}) underflows")
-    return math.exp(params.mu_d + 0.5 * params.sigma_d**2) * norm_sf(z - params.rho * params.sigma_d) / survival
+    return _tail_mean(params.mu_d, params.sigma_d, z, params.rho * params.sigma_d, a)
 
 
 @dataclass(frozen=True)

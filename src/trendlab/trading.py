@@ -23,7 +23,7 @@ import numpy as np
 from . import trend as trend_mod
 from .indicators import ScalingConfig, macd_sar
 from .market_data import CandleSeries
-from .minmax import run_minmax
+from .minmax import _Columns, run_minmax
 from .stats import (
     BivariateLogNormalParams,
     _MIN_SURVIVAL,
@@ -117,7 +117,7 @@ def simulate_expected_return(
 
 
 @dataclass(frozen=True, eq=False)
-class Trades(trend_mod._Columns):
+class Trades(_Columns):
     """Backtest trades as read-only columns, one row per trade in leg order.
 
     ``ret``, ``x`` and ``d`` are in units of the preceding movement; ``down`` codes DIRECTIONS.

@@ -54,7 +54,7 @@ from typing import Collection, Optional, Sequence
 import numpy as np
 
 from .market_data import CandleSeries
-from .minmax import MinMaxProcess
+from .minmax import MinMaxProcess, _Columns
 
 UP = "up"
 DOWN = "down"
@@ -85,17 +85,6 @@ class TrendPhase:
     violation_point_index: Optional[int]
     start_detection_bar: int
     end_detection_bar: int
-
-
-class _Columns:
-    """A frozen dataclass's equal-length numpy columns, made read-only; ``len`` counts the rows."""
-
-    def __post_init__(self):
-        for column in vars(self).values():
-            column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(next(iter(vars(self).values())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +123,14 @@ class TrendSample:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleBatch:
+class SampleBatch(_Columns):
     """Extracted samples as columns, one row per sample in emission order.
 
     ``variable`` and ``direction`` hold int8 codes into VARIABLES and
     DIRECTIONS; ``event``, int32, numbers the leg a sample came from and,
-    within one variable, is unique and increasing. The columns are made
-    read-only. Iteration builds TrendSample rows on demand. ``degenerate`` and
-    ``zero_delay`` tally the skipped degenerate legs and zero delays.
+    within one variable, is unique and increasing. Iteration builds
+    TrendSample rows on demand. ``degenerate`` and ``zero_delay`` tally the
+    skipped degenerate legs and zero delays.
     """
 
     event: np.ndarray
@@ -152,13 +141,6 @@ class SampleBatch:
     scaling: float = float("nan")
     degenerate: int = 0
     zero_delay: int = 0
-
-    def __post_init__(self):
-        for column in (self.event, self.variable, self.direction, self.value):
-            column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.value)
 
     def __iter__(self):
         symbol, scaling = self.symbol, self.scaling

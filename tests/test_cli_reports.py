@@ -263,6 +263,10 @@ REJECTED_RUN_OPTIONS = [
     (["trade-eval", *LAW, "--entry", "0.9", "--target", "0.5"], ["--target", "0.5", "--entry", "0.9"]),
     (["trade-eval", *LAW, "--entry", "0", "--target", "0.5"], ["--entry", "0.0"]),
     (["trade-eval", *LAW, "--entry", "0.5", "--target", "nan"], ["--target", "nan"]),
+    # finite law options whose conditional means overflow, refused before any draw
+    (["trade-eval", *LAW, *TRADE, "--mu-x", "1000"], ["--mu-x 1000.0", "overflows"]),
+    (["trade-eval", *LAW, *TRADE, "--mu-d", "800"], ["--mu-d 800.0", "overflows"]),
+    (["trade-eval", *LAW, *TRADE, "--sigma-x", "40"], ["--sigma-x 40.0", "overflows"]),
     (["backtest", *MISSING, "--entry", "-0.5", "--target", "1"], ["--entry", "-0.5"]),
     (["backtest", *MISSING, "--entry", "0.5", "--target", "0.5"], ["--target", "0.5", "--entry", "0.5"]),
     (["synth", "--bars", "0"], ["--bars", "0"]),

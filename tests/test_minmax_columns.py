@@ -1,4 +1,7 @@
-"""MinMaxProcess columns: a naive reference sweep, the invariant checks, read-only storage."""
+"""MinMaxProcess columns: a naive reference sweep, the invariant checks, read-only storage.
+
+Also the column layout every result record shares (``minmax._Columns``).
+"""
 import dataclasses
 
 import numpy as np
@@ -16,6 +19,8 @@ from trendlab import (
     synth_gbm,
 )
 from trendlab.minmax import COLUMNS
+from trendlab.trading import Trades
+from trendlab.trend import SampleBatch, TrendPhases
 from swing_fixtures import sar_from_values, sar_values
 from hypothesis_counts import examples
 
@@ -312,3 +317,46 @@ class TestReadOnly:
         mm = MinMaxProcess(**{**VALID, "price": price})
         price[0] = 1.0
         assert mm.price[0] == 100.0
+
+
+# every column record with two valid rows, as keyword columns
+TWO_ROW_RECORDS = {
+    "MinMaxProcess": (MinMaxProcess, {
+        "high": [True, False], "price": [110.0, 100.0], "bar": [0, 1], "detection_bar": [1, 2],
+        "detection_close": [108.0, 101.0], "d_abs": [2.0, 1.0],
+    }),
+    "TrendPhases": (TrendPhases, {
+        "down": [False, True], "start": [0, 3], "end": [2, 5], "established": [1, 4], "violation": [3, -1],
+        "start_detection_bar": [4, 9], "end_detection_bar": [7, 12],
+    }),
+    "SampleBatch": (SampleBatch, {
+        "event": [1, 1], "variable": [2, 5], "direction": [0, 0], "value": [0.1, 0.01],
+    }),
+    "Trades": (Trades, {
+        "ret": [0.2, -0.1], "reached_target": [True, False], "x": [0.8, 0.4], "d": [0.0, 0.05],
+        "down": [False, True], "entry_bar": [3, 8], "exit_bar": [5, 9],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_ROW_RECORDS))
+def test_column_records_refuse_unequal_columns_and_are_read_only(name):
+    record, rows = TWO_ROW_RECORDS[name]
+    columns = {field: np.array(values) for field, values in rows.items()}
+    built = record(**columns)
+    assert len(built) == 2
+    for field in columns:
+        column = getattr(built, field)
+        assert column.tolist() == rows[field]
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[0]
+    message = "^columns must be one-dimensional and of equal length$"
+    for field in columns:
+        for bad in (columns[field][:1], columns[field][:, None]):
+            with pytest.raises(ValueError, match=message):
+                record(**{**columns, field: bad})
+        # MinMaxProcess copies each column into its dtype, so it takes a list
+        if record is not MinMaxProcess:
+            with pytest.raises(ValueError, match=message):
+                record(**{**columns, field: rows[field]})

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trendlab import synth_gbm, synth_trend_series, write_candle_file
-from trendlab.cli import CSV_PIECE_ROWS, _csv_join, _json_text, _write_json, main
+from trendlab.cli import CSV_PIECE_ROWS, _csv_join, _json_pieces, _write_json, main
 from hypothesis_counts import examples
 
 # the characters that decide CSV quoting and JSON escaping, plus non-ASCII ones
@@ -62,6 +63,19 @@ def test_iterator_values_are_written_as_lists(tmp_path_factory, filled, lazy):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("top", [dict, list], ids=["in a dict", "as the payload"])
+def test_iterators_anywhere_are_written_as_lists(tmp_path, top):
+    # nested in lists, dicts and each other, empty or not, and as the payload itself
+    def payload(lazy):
+        a = [lazy([1.5, {"b": lazy([])}]), lazy([[], {}]), lazy([{"e": 1}])]
+        c = lazy([lazy(["x", None]), lazy([lazy([])])])
+        return lazy([{"a": a, "c": c}]) if top is list else {"a": a, "c": c}
+
+    _write_json(tmp_path / "report.json", payload(iter))
+    expected = json.dumps(payload(list), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+
+
 def test_an_iterator_that_raises_leaves_no_report(tmp_path):
     def sections():
         yield {"symbol": "a"}
@@ -102,15 +116,23 @@ def test_malformed_second_file_writes_no_report(tmp_path, capsys, argv):
         lambda bad: [1.0, bad],
         lambda bad: {"a": [{"x": 1}, {"x": bad}]},
         lambda bad: {"a": {"b": [1]}, "c": bad},
+        lambda bad: {"config": {}, "sections": iter([{"x": 1}, {"x": [bad]}])},
     ],
-    ids=["top", "flat dict", "flat list", "record", "nested dict"],
+    ids=["top", "flat dict", "flat list", "record", "nested dict", "iterator section"],
 )
-def test_json_rejects_what_json_rejects(bad, place):
-    payload = place(bad)
+def test_json_rejects_what_json_rejects(tmp_path, bad, place):
+    def iterators_as_lists(value):
+        if isinstance(value, Iterator):
+            return list(value)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
     with pytest.raises(TypeError):
-        json.dumps(payload, indent=2, sort_keys=True)
+        json.dumps(place(bad), indent=2, sort_keys=True, default=iterators_as_lists)
     with pytest.raises(TypeError):
-        _json_text(payload)
+        _json_pieces(place(bad), [])
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "out" / "report.json", place(bad))
+    assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=examples(300))

@@ -196,6 +196,12 @@ class TestTruncatedMean:
         with pytest.raises(ValueError, match="tail too deep"):
             truncated_lognormal_mean(LogNormalParams(0.0, 0.1), 1e9)
 
+    # exp overflows, sigma**2 overflows, and a finite exp times the tail ratio overflows
+    @pytest.mark.parametrize("mu, sigma, a", [(1000.0, 1.0, 0.5), (0.0, 40.0, 0.5), (0.0, 1e200, 0.5), (708.9, 0.5, 1.7e308)])
+    def test_a_mean_beyond_the_float_range_raises(self, mu, sigma, a):
+        with pytest.raises(ValueError, match="overflows$"):
+            truncated_lognormal_mean(LogNormalParams(mu, sigma), a)
+
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
             truncated_lognormal_mean(LogNormalParams(0.0, 0.0), 0.5)
@@ -219,6 +225,11 @@ class TestConditionalCrossMean:
             sel = d[x >= a]
             se = sel.std(ddof=1) / math.sqrt(sel.size)
             assert abs(conditional_cross_mean(p, a) - sel.mean()) < 3.0 * se
+
+    @pytest.mark.parametrize("mu_d, sigma_d", [(800.0, 0.15), (0.0, 1e200), (708.9, 0.5)])
+    def test_a_mean_beyond_the_float_range_raises(self, mu_d, sigma_d):
+        with pytest.raises(ValueError, match="overflows$"):
+            conditional_cross_mean(BivariateLogNormalParams(0.0, mu_d, 1.0, sigma_d, 0.9), 1e10)
 
     def test_positive_rho_raises_conditional_mean(self):
         p = BivariateLogNormalParams(0.0, -1.0, 1.0, 0.5, 0.6)
