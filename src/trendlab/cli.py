@@ -23,10 +23,14 @@ One recursive renderer, ``_json_pieces``, appends every JSON report to one
 list of pieces, and writes an iterator, wherever it is, as a list, one item at
 a time: detect and backtest hand their (file, scaling) sections over as an
 iterator, so the records of one section are alive at a time and a report
-holds about its own text in memory. Every piece is rendered before the file
-is opened, and ``--output`` is checked only after every input was read: an
-input error leaves no report and no output directory. The runs read one
-candle file at a time (``_runs``).
+holds about its own text in memory. A value of a JSON scalar type (``str``,
+``int``, ``float``, ``None`` and their subclasses, such as ``bool`` and
+``np.float64``) is a leaf; any other value is walked, so json itself rejects
+what it cannot write (``np.int64``, a set). Every piece is rendered before
+the file is opened. ``_out_dir`` is the one check of ``--output`` and names
+the command; it runs only after every input was read, and the report writer
+makes the directory. So an input error leaves no report and no output
+directory. The runs read one candle file at a time (``_runs``).
 
 CSV rows are rendered in bounded pieces while the file is written: the writer
 gets at most ``CSV_PIECE_ROWS`` rows to a string. ``stats`` keeps each cell's
@@ -44,7 +48,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat, starmap
 from pathlib import Path
 
@@ -181,12 +185,17 @@ def _input_files(paths: list[str]) -> tuple[str, list[Path]]:
             labels.append(p.stem)
         else:
             raise FileNotFoundError(f"no input files at {p}")
-    # a file given twice, as itself or through its directory, would pool its samples twice
+    # a file given twice, as itself or through its directory, would pool its
+    # samples twice, and two files of one stem would pool theirs under one symbol
     seen: set[Path] = set()
+    symbols: dict[str, Path] = {}
     for path in files:
         if path.resolve() in seen:
             raise ValueError(f"input file {path} is given twice")
         seen.add(path.resolve())
+        if path.stem in symbols:
+            raise ValueError(f"input files {symbols[path.stem]} and {path} share the symbol {path.stem!r}")
+        symbols[path.stem] = path
     return "+".join(labels), files
 
 
@@ -215,12 +224,12 @@ def _detect_one(series, scaling: float):
     return mm, trend_mod.detect_trends(mm)
 
 
-# an iterator is written as a list, one item at a time
-_CONTAINERS = (dict, list, tuple, Iterator)
+# json's leaves; bool, np.float64 and np.str_ are subclasses. Any other value is walked
+_SCALARS = (str, int, float, type(None))
 
 
 def _holds_container(values: Iterable) -> bool:
-    return any(map(isinstance, values, repeat(_CONTAINERS)))
+    return not all(map(isinstance, values, repeat(_SCALARS)))
 
 
 @functools.cache
@@ -240,8 +249,8 @@ def _json_pieces(value, pieces: list[str], depth: int = 0) -> list[str]:
     json encodes with its pure-Python encoder whenever ``indent`` is set. Here
     json's C encoder writes, in one call each, every container that holds no
     container and every list of such non-empty dicts (trades, extrema,
-    phases); only containers of other containers are walked in Python.
-    Scalars, keys and rejected types (TypeError) are all left to json.
+    phases); only containers of anything but JSON scalars are walked in
+    Python. Scalars, keys and rejected types (TypeError) are all left to json.
 
     An iterator is written as a list, one item at a time: ``map`` lets go of
     each item once its text is made, so the pieces and the one item being
@@ -334,11 +343,10 @@ def _write_csv(path: Path, cfg: RunConfig, header: list[str], lines: Iterable[st
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The --output path; the report writer makes its directory."""
     if not cfg.output:
-        raise ValueError("--output is required for this command")
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        raise ValueError(f"--output is required for {cfg.command}")
+    return Path(cfg.output)
 
 
 def _records(**columns: np.ndarray) -> list[dict]:
@@ -456,6 +464,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     for scaling in cfg.scalings:
         scale_batches = [b for b in batches if b.scaling == scaling]
         for direction in _directions(cfg):
+            key = {"direction": direction, "scaling": scaling, "market": market}
             for variable in cfg.variables:
                 values = np.concatenate([b.values(variable, direction) for b in scale_batches])
                 if values.size == 0:
@@ -464,9 +473,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
                 cells.append(
                     {
                         "variable": variable,
-                        "direction": direction,
-                        "scaling": scaling,
-                        "market": market,
+                        **key,
                         "n": report.n,
                         "mu": report.params.mu,
                         "sigma": report.params.sigma,
@@ -483,22 +490,11 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
                 if var_a not in cfg.variables or var_b not in cfg.variables:
                     continue
                 pairs = np.concatenate([b.linked_pairs(var_a, var_b, direction) for b in scale_batches])
-                if len(pairs) < 2:
-                    continue
                 try:
                     rho = stats_mod.log_correlation(pairs)
-                except ValueError:
+                except ValueError:  # fewer than two pairs, or no spread in their logs
                     continue
-                joints.append(
-                    {
-                        "pair": f"{var_a}~{var_b}",
-                        "direction": direction,
-                        "scaling": scaling,
-                        "market": market,
-                        "n": len(pairs),
-                        "rho": rho,
-                    }
-                )
+                joints.append({"pair": f"{var_a}~{var_b}", **key, "n": len(pairs), "rho": rho})
     out = _out_dir(cfg)
     _write_json(out / "fits.json", {"config": vars(cfg), "market": market, "cells": cells, "joints": joints})
     _write_csv(
@@ -537,15 +533,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
             fit_points.append((scaling, period))
         else:
             rows.append([market, scaling, "", 0, "insufficient"])
-    fit_payload = None
-    if len({s for s, _ in fit_points}) >= 2:
-        fit = trend_mod.period_scaling_fit(fit_points)
-        fit_payload = {
-            "intercept": fit.intercept,
-            "slope": fit.slope,
-            "residual_rms": fit.residual_rms,
-            "n": fit.n,
-        }
+    # RunConfig refuses a repeated scaling, so the points' scalings are distinct
+    fit_payload = asdict(trend_mod.period_scaling_fit(fit_points)) if len(fit_points) >= 2 else None
     out = _out_dir(cfg)
     lines = [_csv_join(row) + "\n" for row in rows]
     _write_csv(out / "sweep.csv", cfg, ["market", "scaling", "period", "n_gaps", "status"], lines)
@@ -669,8 +658,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
         log_bottom = math.log(args.s0)
     if not (math.log(sys.float_info.min) < log_bottom and log_top < math.log(sys.float_info.max)):
         raise ValueError(f"bad {options}: the path can leave the float range")
-    if not cfg.output:
-        raise ValueError("--output is required for synth")
+    out = _out_dir(cfg)
     # options that pass these checks can still leave the float range on a wild draw
     try:
         with np.errstate(all="ignore"):
@@ -684,7 +672,6 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
         else:
             options = f"--s0 {args.s0!r}, --swings {args.swings}"
         raise ValueError(f"bad {options} with --seed {cfg.seed}: the path leaves the float range at bar {exc.index}") from None
-    out = Path(cfg.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_candle_file(series, out)
     print(f"synth: {len(series)} bars ({args.kind}) -> {out}")

@@ -288,6 +288,19 @@ class TestInputs:
         assert capsys.readouterr().err == f"error: input file market/{named} is given twice\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    def test_files_of_one_stem_are_an_error(self, market_dir, tmp_path, capsys, monkeypatch, command):
+        # a file's stem is its symbol: their samples would pool under one symbol, with
+        # colliding pair ids. The second file is malformed, so reading it would fail first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "alpha.csv").write_text("date,open,high,low,close\n0,10,12,9,11\n1,10,9,12,11\n")
+        argv = [command, "--input", "market", "--input", "other/alpha.csv", "--output", "out"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: input files market/alpha.csv and other/alpha.csv share the symbol 'alpha'\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_fixture_sweep_two_cells(self, market_dir, tmp_path):

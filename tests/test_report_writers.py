@@ -26,6 +26,7 @@ scalars = st.one_of(
     floats.map(np.float64),
     st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-310, 1e300]),
     texts,
+    texts.map(np.str_),
 )
 # lists of non-empty flat dicts are the records the writer lays out in bulk
 records = st.lists(st.dictionaries(keys, scalars, min_size=1, max_size=4), min_size=1, max_size=4)
@@ -107,7 +108,10 @@ def test_malformed_second_file_writes_no_report(tmp_path, capsys, argv):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}], ids=["int64", "set"])
+# np.float32 and np.bool_ are no subclasses of json's scalar types, so the walk takes them to json
+@pytest.mark.parametrize(
+    "bad", [np.int64(3), {1, 2}, np.float32(1.5), np.bool_(True)], ids=["int64", "set", "float32", "bool_"]
+)
 @pytest.mark.parametrize(
     "place",
     [
