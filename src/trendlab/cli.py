@@ -75,7 +75,7 @@ DEFAULT_SWEEP = "0.5:5:0.1"
 DEFAULT_MC_SAMPLES = 1_000_000
 # trade-eval --mc-samples; the Monte Carlo holds ~8 bytes per draw, ~0.8 GB here
 MAX_MC_SAMPLES = 100_000_000
-MAX_SYNTH_BARS = 2_000_000  # synth --bars; writing the file holds ~400 bytes a bar, ~0.8 GB here
+MAX_SYNTH_BARS = 2_000_000  # synth --bars; writing the file holds ~190 bytes a bar, ~0.4 GB here
 # histogram bins per (variable, direction, scaling) cell; every bin is a histograms.csv row
 MAX_HIST_BINS = 1_000_000
 # cells of a sweep --scalings grid; every cell is one detection per input file

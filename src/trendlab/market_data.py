@@ -19,6 +19,13 @@ place that checks bars. Errors come in one order, whatever the pieces: a
 non-UTF-8 byte anywhere in the file, then a bad header, then the first row
 with a malformed field, then the first bad bar, even one on an earlier row.
 
+``format_candles`` writes each price as its ``repr``, in row order (open,
+high, low, close), and calls ``repr`` only on a price that differs from the
+one before it: a flat bar's repeated prices and a GBM open at the previous
+close reuse the text already made. Equal prices of a CandleSeries have one
+text, because its prices are positive and finite (no NaN, no -0.0). The rows
+are rendered ``FORMAT_ROWS`` at a time, and the pieces are joined once.
+
 All containers are immutable after construction and safe to share across
 threads or processes.
 """
@@ -28,6 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, NoReturn
 
@@ -36,12 +44,18 @@ import numpy as np
 HEADER_FIELDS = ("date", "open", "high", "low", "close")
 # bytes per read of read_candle_file, which parses the file one piece at a time
 READ_BYTES = 1 << 16
+# rows per piece of format_candles, which renders the text one piece at a time
+FORMAT_ROWS = 1 << 14
 # synth_trend_series' path: the swing size relative to the last low, the bars
 # of a movement, the bars of a full correction, the flat bars before the first swing
 TREND_MOVEMENT_REL = 0.25
 TREND_MOVEMENT_BARS = 15
 TREND_CORRECTION_BARS = 12
 TREND_WARMUP_BARS = 32
+# the days of date.min and date.max since 1970-01-01: a datetime64[D] day
+# outside them (NaT among them) has no date, and tolist() gives it as an int
+FIRST_DAY = date.min.toordinal() - date(1970, 1, 1).toordinal()
+LAST_DAY = date.max.toordinal() - date(1970, 1, 1).toordinal()
 
 
 class CandleParseError(ValueError):
@@ -80,10 +94,10 @@ class CandleSeries:
     """A symbol plus parallel OHLC arrays with strictly increasing timestamps; compared by identity.
 
     ``timestamps`` is an integer array (stored as int64), a datetime64[D]
-    array, or a sequence of ints inside int64 or of ``date`` objects (no
-    bools, no datetimes). A bad bar or timestamp (index 0 for an array of
-    another dtype) raises BarError naming the first bad index; where one bar
-    breaks two rules, the OHLC rule is named.
+    array of days in years 1-9999 (no NaT), or a sequence of ints inside
+    int64 or of ``date`` objects (no bools, no datetimes). A bad bar or
+    timestamp (index 0 for an array of another dtype) raises BarError naming
+    the first bad index; where one bar breaks two rules, the OHLC rule is named.
     """
 
     symbol: str
@@ -100,14 +114,21 @@ class CandleSeries:
             object.__setattr__(self, name, arr)
         ts = self.timestamps
         n = len(ts)
-        bad = n  # the first timestamp of another kind than the first one's
+        bad = n  # the first timestamp of another kind than the first one's, or a day without a date
+        reason = "timestamp neither an integer nor a date"
         if isinstance(ts, np.ndarray) and ts.dtype.kind in "iu" and np.can_cast(ts.dtype, np.int64):
             ts = ts.astype(np.int64, copy=False)
-        elif not (isinstance(ts, np.ndarray) and ts.dtype == np.dtype("datetime64[D]")):
+        elif isinstance(ts, np.ndarray) and ts.dtype == np.dtype("datetime64[D]"):
+            days = ts.view(np.int64)  # NaT is the int64 minimum
+            outside = (days < FIRST_DAY) | (days > LAST_DAY)
+            bad = int(outside.argmax()) if outside.any() else n
+        else:
             # judged item by item, never cast: numpy stores 0.5 as 0, "1" as 1 and the int 1 as the date 1970-01-02
             kinds = list(map(_timestamp_kind, ts))
             first = kinds[0] if kinds and kinds[0] else int
             bad = next((i for i, kind in enumerate(kinds) if kind is not first), n)
+            if bad < n and kinds[bad]:
+                reason = "mixed timestamp types"
             ts = np.array(ts[:bad], dtype="datetime64[D]" if first is date else np.int64)
         ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
@@ -124,7 +145,6 @@ class CandleSeries:
             i = int(rising.argmin()) + 1
             raise BarError(f"non-increasing timestamp at index {i}", i, "non-increasing timestamp")
         if bad < bad_bar:
-            reason = "mixed timestamp types" if kinds[bad] else "timestamp neither an integer nor a date"
             raise BarError(f"{reason} at index {bad}", bad, reason)
         if bad_bar < n:
             problem = _ohlc_problem(o[bad_bar], h[bad_bar], l[bad_bar], c[bad_bar])
@@ -291,11 +311,33 @@ def _parse_rows(rows: list[str], before: int, int_dates: bool) -> NoReturn:
 
 
 def format_candles(series: CandleSeries) -> str:
-    """Serialize to candle CSV. Floats use repr, so parse -> format -> parse is exact; dates print as YYYY-MM-DD."""
-    columns = (series.open.tolist(), series.high.tolist(), series.low.tolist(), series.close.tolist())
-    return "date,open,high,low,close\n" + "".join(
-        [f"{ts},{o!r},{h!r},{l!r},{c!r}\n" for ts, o, h, l, c in zip(series.timestamps.tolist(), *columns)]
-    )
+    """Serialize to candle CSV. Floats use repr, so parse -> format -> parse is exact; dates print as YYYY-MM-DD.
+
+    The prices are walked in row order (open, high, low, close), and ``repr``
+    runs only on a price that differs from the one before it; an equal price
+    reuses the text before it. That is safe because a series' prices are
+    positive and finite, and equal values of those have one ``repr``. The rows
+    are rendered FORMAT_ROWS at a time, and the pieces are joined once.
+    """
+    columns = (series.open, series.high, series.low, series.close)
+    pieces = ["date,open,high,low,close\n"]
+    last_price, last_text = math.nan, ""  # the last price of the earlier pieces, and its text
+    for start in range(0, len(series), FORMAT_ROWS):
+        stop = start + FORMAT_ROWS
+        prices = np.stack([column[start:stop] for column in columns], axis=1).ravel()
+        new = np.empty(len(prices), dtype=bool)
+        new[0] = prices[0] != last_price
+        np.not_equal(prices[1:], prices[:-1], out=new[1:])
+        # texts[k] is the k-th new price's text, texts[0] the text before the piece;
+        # the running count of new prices indexes each price's text
+        texts = [last_text, *map(repr, prices[new].tolist())]
+        fields = itemgetter(*np.cumsum(new).tolist())(texts)
+        last_price, last_text = prices[-1], texts[-1]
+        stamps = series.timestamps[start:stop].tolist()
+        pieces.append("".join(
+            [f"{ts},{o},{h},{l},{c}\n" for ts, o, h, l, c in zip(stamps, *(fields[k::4] for k in range(4)))]
+        ))
+    return "".join(pieces)
 
 
 def _pieces(f: BinaryIO) -> Iterator[bytes]:
@@ -344,7 +386,9 @@ def read_candle_file(path) -> CandleSeries:
 
 
 def write_candle_file(series: CandleSeries, path) -> None:
-    Path(path).write_text(format_candles(series), encoding="utf-8")
+    """Write ``format_candles(series)`` as UTF-8; ``newline=""``, so every line ends in ``\\n`` on every platform."""
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        f.write(format_candles(series))
 
 
 def synth_gbm(s0: float, drift: float, vol: float, n: int, seed: int, symbol: str = "synthetic-gbm") -> CandleSeries:

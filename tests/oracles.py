@@ -9,6 +9,9 @@ into the backtest's ``Trades`` columns, for bit-for-bit comparisons.
 textbook standard normal CDF, log-normal CDF and joint log-normal density of
 the law ``expected_return`` reads; ``lognormal_cdf`` is the oracle of
 ``lognormal_sf``. tests/test_oracles.py checks each of them.
+
+``candle_text`` is candle CSV written row by row, one ``repr`` per price:
+the oracle of ``format_candles`` (tests/test_parse_reference.py).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from trendlab import BivariateLogNormalParams, LogNormalParams, Trades, TradeSpec
+from trendlab import BivariateLogNormalParams, CandleSeries, LogNormalParams, Trades, TradeSpec
 from trendlab.trend import DOWN, UP
 
 
@@ -58,6 +61,14 @@ def trade_columns(outcomes: list[TradeOutcome]) -> Trades:
         down=np.array([t.direction == DOWN for t in outcomes], dtype=bool),
         entry_bar=column("entry_bar", np.int64),
         exit_bar=column("exit_bar", np.int64),
+    )
+
+
+def candle_text(series: CandleSeries) -> str:
+    """The series' candle CSV: a header, then one row per bar with each price's repr."""
+    columns = (series.open.tolist(), series.high.tolist(), series.low.tolist(), series.close.tolist())
+    return "date,open,high,low,close\n" + "".join(
+        [f"{ts},{o!r},{h!r},{l!r},{c!r}\n" for ts, o, h, l, c in zip(series.timestamps.tolist(), *columns)]
     )
 
 

@@ -16,6 +16,7 @@ from trendlab import (
     read_candle_file,
     synth_gbm,
     synth_trend_series,
+    write_candle_file,
 )
 from trendlab import market_data
 from trendlab.market_data import BarError
@@ -214,6 +215,14 @@ def test_format_candles_bytes():
     assert format_candles(CandleSeries("x", (), [], [], [], [])) == "date,open,high,low,close\n"
 
 
+def test_write_candle_file_writes_format_candles_bytes(tmp_path):
+    # "\n" line ends on every platform: text mode would write os.linesep
+    series = synth_gbm(100.0, 0.0, 0.02, 300, seed=2)
+    path = tmp_path / "gbm.csv"
+    write_candle_file(series, path)
+    assert path.read_bytes() == format_candles(series).encode()
+
+
 def _gbm_lines(n, dates=False):
     series = synth_gbm(100.0, 0.0, 0.02, n, seed=5)
     lines = format_candles(series).splitlines()
@@ -326,6 +335,10 @@ def test_read_peak_memory_under_twice_the_series(tmp_path):
     assert peak < 1.5 * size
 
 
+def _days(*days):
+    return np.array(days, dtype="datetime64[D]")
+
+
 class TestContainers:
     def test_series_slice_returns_series(self):
         s = synth_gbm(100.0, 0.0, 0.01, 50, seed=1)
@@ -361,11 +374,29 @@ class TestContainers:
             ((0, 1.5, 1, 2), [9.0] * 4, 1, "timestamp neither an integer nor a date at index 1"),
             ((0.5, 1, 2, 3), [9.0, 12.0, 9.0, 9.0], 0, "timestamp neither an integer nor a date at index 0"),
             ((0, 1.5, 2, 3), [12.0, 9.0, 9.0, 9.0], 0, "invalid OHLC bar at index 0: high < low"),
+            # a datetime64[D] day without a date: NaT, or a day outside years 1-9999, which tolist() gives as an int
+            (_days("2020-01-01", "2020-01-02", "NaT", "2020-01-04"), [9.0] * 4, 2,
+             "timestamp neither an integer nor a date at index 2"),
+            (_days("NaT", "2020-01-02", "2020-01-03", "2020-01-04"), [9.0] * 4, 0,
+             "timestamp neither an integer nor a date at index 0"),
+            (_days("9999-12-29", "9999-12-30", "9999-12-31", "10000-01-01"), [9.0] * 4, 3,
+             "timestamp neither an integer nor a date at index 3"),
+            (_days("10000-01-01", "10000-01-02", "10000-01-03", "10000-01-04"), [9.0] * 4, 0,
+             "timestamp neither an integer nor a date at index 0"),
+            (_days("-0001-12-31", "0001-01-01", "0001-01-02", "0001-01-03"), [9.0] * 4, 0,
+             "timestamp neither an integer nor a date at index 0"),
+            (_days("2020-01-02", "2020-01-01", "NaT", "2020-01-04"), [9.0] * 4, 1, "non-increasing timestamp at index 1"),
+            (_days("2020-01-01", "NaT", "2020-01-03", "2020-01-04"), [9.0, 9.0, 12.0, 9.0], 1,
+             "timestamp neither an integer nor a date at index 1"),
+            (_days("2020-01-01", "2020-01-02", "NaT", "2020-01-04"), [9.0, 12.0, 9.0, 9.0], 1,
+             "invalid OHLC bar at index 1: high < low"),
         ],
         ids=[
             "timestamp-first", "ohlc-first", "same-index", "mixed-types", "non-increasing-before-mixed",
             "floats", "strings", "bool", "float-among-ints", "outside-int64", "datetime",
             "float-array", "datetime64-seconds", "bad-type-before-ohlc", "bad-type-first", "ohlc-before-bad-type",
+            "nat", "nat-first", "into-year-10000", "year-10000", "before-year-1", "non-increasing-before-nat",
+            "nat-before-ohlc", "ohlc-before-nat",
         ],
     )
     def test_series_names_first_bad_index(self, timestamps, low, index, message):
@@ -380,6 +411,12 @@ class TestContainers:
         assert type(got) is BarError
         assert (str(got), got.index, got.reason) == ("invalid OHLC bar at index 2: high < low", 2, "high < low")
         assert got.args == exc.args
+
+    def test_first_and_last_dates_round_trip(self):
+        series = CandleSeries("x", _days("0001-01-01", "9999-12-31"), [10.0] * 2, [11.0] * 2, [9.0] * 2, [10.5] * 2)
+        text = format_candles(series)
+        assert text.splitlines()[1:] == ["0001-01-01,10.0,11.0,9.0,10.5", "9999-12-31,10.0,11.0,9.0,10.5"]
+        assert parse_candles(text, "x").timestamps.tolist() == [date.min, date.max]
 
     def test_mixed_timestamps_never_cast(self):
         # numpy alone would read the int 1 as the date 1970-01-02, one day after the first bar

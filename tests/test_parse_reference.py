@@ -16,6 +16,12 @@ replaced: decode the whole file, naming the data row of a non-UTF-8 byte,
 then parse_candles the text. READ_BYTES is made small so that pieces end
 anywhere, and files carry bad bytes, other line breaks and multi-byte
 characters across piece edges.
+
+format_candles, which calls repr only on a price unlike the one before it
+and renders FORMAT_ROWS rows at a time, is held to ``candle_text``
+(tests/oracles.py), one repr per price row by row. FORMAT_ROWS is made small
+so that runs of equal prices (flat bars, an open at the previous close)
+cross piece edges.
 """
 import math
 import re
@@ -26,9 +32,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trendlab import CandleParseError, format_candles, parse_candles, read_candle_file, synth_gbm
-from trendlab import market_data
+from trendlab import CandleParseError, CandleSeries, format_candles, parse_candles, read_candle_file, synth_gbm
+from trendlab import market_data, synth_trend_series
 from hypothesis_counts import examples
+from oracles import candle_text
 
 ISO = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 INT = re.compile(r"[+-]?[0-9]+")
@@ -244,3 +251,65 @@ def test_non_utf8_byte_in_a_later_piece_beats_a_field_error_in_the_first(tmp_pat
         read_candle_file(path)
     assert (info.value.row, str(info.value)) == (20_001, f"{path}: non-UTF-8 byte 0xff at row 20001")
     assert_reads_as_reference(path, raw)
+
+
+# prices a series admits, a few of them often so that equal prices recur: the
+# smallest and largest floats, and a sum whose repr takes 17 digits
+POOL = [5e-324, 0.1 + 0.2, 1.0, 100.0, 1.7976931348623157e308]
+PRICE = st.one_of(st.sampled_from(POOL), st.floats(min_value=5e-324, max_value=1e308))
+
+
+@st.composite
+def priced_series(draw):
+    """A valid series of flat bars, opens at the previous close, highs at the open and lows at the close."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    bars = []
+    for k in range(n):
+        o = bars[-1][3] if k and draw(st.booleans()) else draw(PRICE)
+        c = o if draw(st.booleans()) else draw(PRICE)
+        # no wick leaves the high at max(open, close) and the low at min(open, close)
+        h = max(o, c, draw(PRICE)) if draw(st.booleans()) else max(o, c)
+        l = min(o, c, draw(PRICE)) if draw(st.booleans()) else min(o, c)
+        bars.append((o, h, l, c))
+    columns = [[bar[j] for bar in bars] for j in range(4)]
+    offsets = np.cumsum(draw(st.lists(st.integers(1, 400), min_size=n, max_size=n))).tolist()
+    if draw(st.booleans()):
+        first = draw(st.integers(min_value=-(2**62), max_value=2**62))
+        stamps = [first + k for k in offsets]
+    else:
+        # from the first year to the last, as a list of dates or a datetime64[D] column
+        first = draw(st.dates(max_value=date.max - timedelta(days=400 * 30)))
+        stamps = [first + timedelta(days=k) for k in offsets]
+        if draw(st.booleans()):
+            stamps = np.array(stamps, dtype="datetime64[D]")
+    return CandleSeries("ref", stamps, *columns)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(series=priced_series(), rows=st.integers(min_value=1, max_value=7))
+def test_format_matches_row_by_row_reference(series, rows):
+    with mock.patch.object(market_data, "FORMAT_ROWS", rows):
+        assert format_candles(series).encode() == candle_text(series).encode()
+
+
+def assert_same_text(text, expected):
+    """Equal texts; else the first differing line, without pytest's diff of megabytes of text."""
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        line = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        raise AssertionError(f"line {line}: {got[line:line + 1]} != {want[line:line + 1]}")
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_flat_run_across_a_piece_edge(extra):
+    # one price for every bar: the first piece's last text serves the next piece
+    n = market_data.FORMAT_ROWS + extra
+    series = CandleSeries.from_closes("flat", np.full(n, 0.1 + 0.2))
+    assert_same_text(format_candles(series), candle_text(series))
+
+
+def test_planted_trend_path_matches_reference():
+    # flat bars over more than one piece
+    trends, _ = synth_trend_series(swings=800, seed=2)
+    assert len(trends) > market_data.FORMAT_ROWS
+    assert_same_text(format_candles(trends), candle_text(trends))

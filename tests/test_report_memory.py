@@ -4,9 +4,12 @@
 at a time, so their peak grows by about one byte per byte of report: the text
 itself. ``stats`` hands its CSV rows to the writer at most CSV_PIECE_ROWS to
 a string. Every command reads its candle files one at a time, and no series
-outlives the read of the next file.
+outlives the read of the next file. ``format_candles`` renders FORMAT_ROWS
+rows at a time, so its peak grows by about two bytes per byte of text: the
+pieces and their join.
 """
 import contextlib
+import gc
 import io
 import shutil
 import tracemalloc
@@ -14,7 +17,7 @@ import weakref
 
 import pytest
 
-from trendlab import cli, synth_gbm, synth_trend_series, write_candle_file
+from trendlab import cli, format_candles, synth_gbm, synth_trend_series, write_candle_file
 from trendlab.cli import main
 
 REPORTS = {
@@ -53,6 +56,25 @@ def test_peak_grows_by_about_the_report(tmp_path, command):
     assert sizes[1] > 3 * sizes[0] > 0
     growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
     assert growth <= 1.5, f"peaks {peaks} B for reports of {sizes} B: {growth:.2f} B per report byte"
+
+
+def test_format_candles_peak_grows_by_about_twice_the_text():
+    # a list of every row's string before one join would hold the rows, the
+    # list and the text at once: about 4.1 bytes per byte of text
+    peaks, sizes = [], []
+    for bars in (25_000, 100_000):
+        series = synth_gbm(100.0, 0.0, 0.02, bars, seed=1, symbol="gbm")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = format_candles(series)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(text.encode()))
+        del text
+    growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert growth <= 2.5, f"peaks {peaks} B for texts of {sizes} B: {growth:.2f} B per text byte"
 
 
 def test_stats_hands_csv_rows_over_in_bounded_pieces(tmp_path, monkeypatch):
